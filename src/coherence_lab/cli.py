@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CoherenceLabError, ConvergenceError, ValidationError
+from .errors import CoherenceLabError, ConvergenceError, InputOutputError, ValidationError
 from .machines import load_machines
 from .network import connectivity_check, load_network
 from .powerflow import PowerFlowOptions, solve_power_flow
@@ -100,7 +100,7 @@ def cmd_modeshape(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.report).read_text())
     except OSError as exc:
-        raise ValidationError(f"cannot read report {args.report}: {exc}") from exc
+        raise InputOutputError(f"cannot read report {args.report}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"report {args.report} is not valid JSON: {exc}") from exc
 
@@ -130,7 +130,7 @@ def cmd_modeshape(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(mode_svg(m, areas, title))
     except OSError as exc:
-        raise CoherenceLabError(f"cannot write {out}: {exc}") from exc
+        raise InputOutputError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}")
     return 0
 

@@ -36,6 +36,12 @@ class SlowSubspace:
     symmetry_defect: float
 
 
+def _mass_normalized(lap: LaplacianPair) -> np.ndarray:
+    inv_sqrt_m = 1.0 / np.sqrt(lap.m_e)
+    s = lap.l * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+    return 0.5 * (s + s.T)
+
+
 def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
     """Eigendecompose the weighted Laplacian and keep the r slowest modes.
 
@@ -52,10 +58,7 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
             f"Laplacian asymmetry {defect:.3e} exceeds {SYMMETRY_TOL:.1e}; "
             "slow coherency needs the reactive-path reduction"
         )
-    inv_sqrt_m = 1.0 / np.sqrt(lap.m_e)
-    s = lap.l * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    s = 0.5 * (s + s.T)
-    vals, z = np.linalg.eigh(s)
+    vals, z = np.linalg.eigh(_mass_normalized(lap))
     # floor the tolerance scale at 1 rad^2/s^2 so a spectrum that is pure
     # rounding noise (single machine, L identically zero) reads as one
     # zero mode instead of a positive eigenvalue
@@ -78,7 +81,7 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
         k = int(np.argmax(np.abs(z[:, j])))
         if z[k, j] < 0:
             z[:, j] = -z[:, j]
-    w = z * inv_sqrt_m[:, None]
+    w = z * (1.0 / np.sqrt(lap.m_e))[:, None]  # W = M_e^{-1/2} Z
     gaps: list[float | None] = []
     for i in range(n - 1):
         denom = abs(vals[i])
@@ -239,12 +242,6 @@ class SubspaceComparison:
     row_bound_holds: bool | None
     q: np.ndarray
     machine_order: list[int]
-
-
-def _mass_normalized(lap: LaplacianPair) -> np.ndarray:
-    inv_sqrt_m = 1.0 / np.sqrt(lap.m_e)
-    s = lap.l * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    return 0.5 * (s + s.T)
 
 
 def compare_subspaces(

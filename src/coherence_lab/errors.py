@@ -42,3 +42,21 @@ class InputOutputError(CoherenceLabError):
     """Filesystem or serialization failure."""
 
     exit_code = 4
+
+
+_REQUIRED = object()
+
+
+def read_field(entry, key: str, cast, where: str, default=_REQUIRED):
+    """cast(entry[key]) of one input-file object, or default when the field is
+    absent or null; anything malformed raises ValidationError naming both."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
+    if entry.get(key) is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing field '{key}'")
+        return default
+    try:
+        return cast(entry[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: bad value {entry[key]!r} for field '{key}'") from None

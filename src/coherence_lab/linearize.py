@@ -33,7 +33,9 @@ from .machines import MachineSet
 from .network import Network, build_admittance
 from .powerflow import OperatingPoint
 
+EQUILIBRIUM_TOL = 1e-6
 COND_WARN_LIMIT = 1e12
+COND_PROBES = 4
 
 
 @dataclass
@@ -206,10 +208,12 @@ class EquilibriumReport:
     families: dict[str, float]
 
 
-def check_equilibrium(net: Network, machines: MachineSet, op: OperatingPoint) -> EquilibriumReport:
-    """Max absolute state-derivative and algebraic residual on the
-    dispatch-consistent model at the operating point."""
-    model = build_linear_model(net, machines, op, lossless=False)
+def check_equilibrium(model: LinearModel, op: OperatingPoint) -> EquilibriumReport:
+    """Max absolute state-derivative and algebraic residual of the dispatch
+    model at the operating point; above EQUILIBRIUM_TOL the point is not a
+    solution, any Jacobian taken there is meaningless, and PipelineError
+    is raised."""
+    net, machines, n = model.net, model.machines, model.n_bus
     ds, df, ef, v_rect = point_state(model)
     freq = frequency_residual(model, ds, df, ef, v_rect)
     alg = algebraic_residual(model, ds, df, ef, v_rect)
@@ -226,7 +230,6 @@ def check_equilibrium(net: Network, machines: MachineSet, op: OperatingPoint) ->
         lam_int = np.array([g.lambda_p_internal(net.omega0) for g in machines.gfms])
         fam["gfm_omega"] = float(np.max(np.abs(lam_int * freq[model.n_sg :] / taus)))
         # voltage loop: vs_eff was constructed to zero this at the point
-        n = model.n_bus
         v = v_rect[:n] + 1j * v_rect[n:]
         q_term = (v * np.conj(model.y_model @ v)).imag[model.gfm_idx]
         lam_q = np.array([g.lambda_q for g in machines.gfms])
@@ -240,10 +243,15 @@ def check_equilibrium(net: Network, machines: MachineSet, op: OperatingPoint) ->
     else:
         fam["gfm_omega"] = fam["gfm_ve"] = fam["gfm_e"] = 0.0
 
-    n = model.n_bus
     fam["alg_p"] = float(np.max(np.abs(alg[:n])))
     fam["alg_q"] = float(np.max(np.abs(alg[n:])))
-    return EquilibriumReport(max_residual=max(fam.values()), families=fam)
+    eq = EquilibriumReport(max_residual=max(fam.values()), families=fam)
+    if eq.max_residual > EQUILIBRIUM_TOL:
+        raise PipelineError(
+            f"operating point is not an equilibrium (max residual "
+            f"{eq.max_residual:.3e} > {EQUILIBRIUM_TOL:.1e}); families: {eq.families}"
+        )
+    return eq
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +309,10 @@ def _network_power_jacobian(model: LinearModel):
     return dp_dp, dp_dq, dq_dp, dq_dq
 
 
-def build_jacobians(
-    net: Network,
-    machines: MachineSet,
-    op: OperatingPoint,
-    lossless: bool = False,
-    equilibrium_tol: float = 1e-6,
-) -> JacobianBlocks:
-    """All small-signal blocks at the operating point.
-
-    Precondition: the dispatch-model equilibrium residual is below
-    equilibrium_tol; otherwise the linearization point is not a solution
-    and the blocks would be meaningless.
-    """
-    eq = check_equilibrium(net, machines, op)
-    if eq.max_residual > equilibrium_tol:
-        raise PipelineError(
-            f"operating point is not an equilibrium (max residual "
-            f"{eq.max_residual:.3e} > {equilibrium_tol:.1e}); families: {eq.families}"
-        )
-
-    model = build_linear_model(net, machines, op, lossless=lossless)
+def build_jacobians(model: LinearModel) -> JacobianBlocks:
+    """All small-signal blocks of one model at its evaluation point; only
+    assembly, check_equilibrium on the dispatch model is the gate."""
+    machines = model.machines
     n = model.n_bus
     n_sg, n_gfm = model.n_sg, model.n_gfm
     v = model.v_point
@@ -377,7 +368,7 @@ def build_jacobians(
 
     a33 = np.block([[rp_dp, rp_dq], [rq_dp, rq_dq]])
 
-    omega0 = net.omega0
+    omega0 = model.net.omega0
     m_e = np.array(
         [m.m for m in machines.sgs] + [g.m_equivalent(omega0) for g in machines.gfms]
     )
@@ -413,26 +404,41 @@ class LaplacianPair:
     l0_bar: np.ndarray | None = None  # base-case reference, attached by scenarios
 
 
+def _eliminate(blocks: JacobianBlocks) -> np.ndarray:
+    """X = A33^{-1} [A3, A34]: the one solve that removes the algebraic
+    voltages.
+
+    COND_PROBES fixed-seed probe columns p_j ride along in the same solve,
+    so ||A33||_1 max_j ||A33^{-1} p_j||_1 / ||p_j||_1, a lower bound on
+    cond_1(A33) (Dixon 1983), costs O(N^2) on top of the factorization.
+    """
+    a33 = blocks.a33
+    n_rhs = blocks.a3.shape[1] + blocks.a34.shape[1]
+    probes = np.random.default_rng(0).standard_normal((a33.shape[0], COND_PROBES))
+    try:
+        x = np.linalg.solve(a33, np.hstack([blocks.a3, blocks.a34, probes]))
+    except np.linalg.LinAlgError:
+        raise PipelineError("algebraic block is singular; cannot reduce") from None
+    growth = np.abs(x[:, n_rhs:]).sum(axis=0) / np.abs(probes).sum(axis=0)
+    cond = float(np.abs(a33).sum(axis=0).max() * growth.max())
+    if not cond <= COND_WARN_LIMIT:  # also catches a NaN estimate
+        warnings.warn(
+            f"algebraic block is near singular (cond {cond:.3e}); "
+            "reduction may be inaccurate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return x[:, :n_rhs].copy()  # contiguous, as a solve without probes returns
+
+
 def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     """Eliminate the algebraic voltage variables.
 
     L = A1 - A2 A33^{-1} A3 couples machine angles; the E-feedthrough
     A4 - A2 A33^{-1} A34 is reported alongside but holds no angle dynamics.
     """
-    a33 = blocks.a33
-    cond = np.linalg.cond(a33)
-    if cond > COND_WARN_LIMIT:
-        warnings.warn(
-            f"algebraic block is near singular (cond {cond:.3e}); "
-            "reduction may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     n_r = blocks.a3.shape[1]
-    try:
-        x = np.linalg.solve(a33, np.hstack([blocks.a3, blocks.a34]))
-    except np.linalg.LinAlgError:
-        raise PipelineError("algebraic block is singular; cannot reduce") from None
+    x = _eliminate(blocks)
     l = blocks.a1 - blocks.a2 @ x[:, :n_r]
     feed = blocks.a4 - blocks.a2 @ x[:, n_r:]
     l_bar = l / blocks.m_e[:, None]
@@ -527,33 +533,29 @@ class StateSpace:
     omega_rows: np.ndarray  # indices of frequency states, machine order
 
 
-def state_matrix(net: Network, machines: MachineSet, op: OperatingPoint) -> StateSpace:
-    """Assemble d/dt [delta, omega, ve, e_f] on the dispatch model.
+def state_matrix(blocks: JacobianBlocks) -> StateSpace:
+    """Assemble d/dt [delta, omega, ve, e_f] from the dispatch-model blocks.
 
     The algebraic voltages are eliminated through the same solve that
     produces the Laplacian, so the angle block of this matrix is
     M_e^{-1} L with the dispatch-variant L.
     """
-    blocks = build_jacobians(net, machines, op, lossless=False)
     model = blocks.model
+    machines = model.machines
     n = model.n_bus
     n_sg, n_gfm = model.n_sg, model.n_gfm
     n_r = n_sg + n_gfm
 
-    try:
-        t = -np.linalg.solve(blocks.a33, np.hstack([blocks.a3, blocks.a34]))
-    except np.linalg.LinAlgError:
-        raise PipelineError("algebraic block is singular; cannot reduce") from None
+    t = -_eliminate(blocks)
     t3, t4 = t[:, :n_r], t[:, n_r:]
     l = blocks.a1 + blocks.a2 @ t3
     feed = blocks.a4 + blocks.a2 @ t4
 
-    omega0 = net.omega0
+    omega0 = model.net.omega0
     nx = 2 * n_r + 2 * n_gfm
     a = np.zeros((nx, nx))
     sl_d = slice(0, n_r)
     sl_w = slice(n_r, 2 * n_r)
-    sl_ve = slice(2 * n_r, 2 * n_r + n_gfm)
     sl_e = slice(2 * n_r + n_gfm, nx)
 
     a[sl_d, sl_w] = np.eye(n_r)

@@ -14,10 +14,10 @@ damping values are rescaled by omega0 where they meet a rad/s signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputOutputError, ValidationError
+from .errors import InputOutputError, ValidationError, read_field
 from .network import Network
 
 GFM_DEFAULTS = {
@@ -97,35 +97,32 @@ def load_machines(path: str | Path) -> MachineSet:
 
 def machines_from_dict(raw: dict) -> MachineSet:
     sgs = []
-    for e in raw.get("sgs", []):
-        try:
-            sgs.append(
-                Sg(
-                    bus=int(e["bus"]),
-                    m=float(e["m"]),
-                    d=float(e.get("d", 0.0)),
-                    xd_prime=float(e["xd_prime"]),
-                    p_set=float(e["p_set"]),
-                )
+    for i, e in enumerate(raw.get("sgs", [])):
+        where = f"sgs[{i}]"
+        sgs.append(
+            Sg(
+                bus=read_field(e, "bus", int, where),
+                m=read_field(e, "m", float, where),
+                d=read_field(e, "d", float, where, 0.0),
+                xd_prime=read_field(e, "xd_prime", float, where),
+                p_set=read_field(e, "p_set", float, where),
             )
-        except KeyError as exc:
-            raise ValidationError(f"sg entry missing field {exc}") from None
-    gfms = [gfm_from_dict(e) for e in raw.get("gfms", [])]
+        )
+    gfms = [gfm_from_dict(e, f"gfms[{i}]") for i, e in enumerate(raw.get("gfms", []))]
     ms = MachineSet(sgs=sgs, gfms=gfms)
     _validate_standalone(ms)
     return ms
 
 
-def gfm_from_dict(e: dict) -> Gfm:
-    if "bus" not in e:
-        raise ValidationError("gfm entry missing field 'bus'")
-    fields = dict(GFM_DEFAULTS)
-    fields.update({k: float(v) for k, v in e.items() if k != "bus"})
+def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
+    bus = read_field(e, "bus", int, where)
     known = set(GFM_DEFAULTS) | {"v_set", "p_set", "q_set"}
-    unknown = set(fields) - known
+    unknown = set(e) - known - {"bus"}
     if unknown:
-        raise ValidationError(f"gfm at bus {e['bus']}: unknown fields {sorted(unknown)}")
-    return Gfm(bus=int(e["bus"]), **fields)
+        raise ValidationError(f"gfm at bus {bus}: unknown fields {sorted(unknown)}")
+    fields = dict(GFM_DEFAULTS)
+    fields.update({k: read_field(e, k, float, where) for k in e if k != "bus"})
+    return Gfm(bus=bus, **fields)
 
 
 def _validate_standalone(ms: MachineSet) -> None:
@@ -169,7 +166,3 @@ def validate_against_network(ms: MachineSet, net: Network) -> None:
         errors.append(f"slack bus {slack} has no machine")
     if errors:
         raise ValidationError("machine/network validation failed: " + "; ".join(errors))
-
-
-def with_updates(g: Gfm, **kwargs) -> Gfm:
-    return replace(g, **kwargs)

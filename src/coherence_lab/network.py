@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputOutputError, ValidationError
+from .errors import InputOutputError, ValidationError, read_field
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -89,32 +89,36 @@ def network_from_dict(raw: dict) -> Network:
         if key not in raw:
             raise ValidationError(f"network JSON missing required key '{key}'")
     buses = []
-    for entry in raw["buses"]:
+    for i, entry in enumerate(raw["buses"]):
+        where = f"buses[{i}]"
+        bus_id = read_field(entry, "id", int, where)
         kind = entry.get("kind")
         if kind not in BUS_KINDS:
-            raise ValidationError(f"bus {entry.get('id')}: bad kind {kind!r}")
+            raise ValidationError(f"bus {bus_id}: bad kind {kind!r}")
         buses.append(
             Bus(
-                id=int(entry["id"]),
+                id=bus_id,
                 kind=kind,
-                v_setpoint=entry.get("v_setpoint"),
-                load_p=float(entry.get("load_p", 0.0)),
-                load_q=float(entry.get("load_q", 0.0)),
-                shunt_g=float(entry.get("shunt_g", 0.0)),
-                shunt_b=float(entry.get("shunt_b", 0.0)),
+                v_setpoint=read_field(entry, "v_setpoint", float, where, None),
+                load_p=read_field(entry, "load_p", float, where, 0.0),
+                load_q=read_field(entry, "load_q", float, where, 0.0),
+                shunt_g=read_field(entry, "shunt_g", float, where, 0.0),
+                shunt_b=read_field(entry, "shunt_b", float, where, 0.0),
             )
         )
-    branches = [
-        Branch(
-            from_bus=int(e["from"]),
-            to_bus=int(e["to"]),
-            r=float(e["r"]),
-            x=float(e["x"]),
-            b_charging=float(e.get("b_charging", 0.0)),
-            tap=float(e.get("tap", 1.0)),
+    branches = []
+    for i, e in enumerate(raw["branches"]):
+        where = f"branches[{i}]"
+        branches.append(
+            Branch(
+                from_bus=read_field(e, "from", int, where),
+                to_bus=read_field(e, "to", int, where),
+                r=read_field(e, "r", float, where),
+                x=read_field(e, "x", float, where),
+                b_charging=read_field(e, "b_charging", float, where, 0.0),
+                tap=read_field(e, "tap", float, where, 1.0),
+            )
         )
-        for e in raw["branches"]
-    ]
     net = Network(
         base_mva=float(raw["base_mva"]),
         f0_hz=float(raw["f0_hz"]),

@@ -21,7 +21,6 @@ from .network import Network, build_admittance, connectivity_check
 class PowerFlowOptions:
     tol: float = 1e-8
     max_iter: int = 30
-    flat_start: bool = True
 
 
 @dataclass
@@ -32,14 +31,6 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     residual_history: list[float] = field(default_factory=list)
-
-    @property
-    def v_mag(self) -> np.ndarray:
-        return np.abs(self.v)
-
-    @property
-    def v_ang(self) -> np.ndarray:
-        return np.angle(self.v)
 
 
 def _scheduled_injections(net: Network, machines: MachineSet) -> tuple[np.ndarray, np.ndarray]:
@@ -58,8 +49,9 @@ def solve_power_flow(
     machines: MachineSet,
     opts: PowerFlowOptions | None = None,
 ) -> PowerFlowSolution:
-    """Full Newton power flow. Raises ConvergenceError with the residual
-    history when the iteration stalls or the Jacobian goes singular."""
+    """Full Newton power flow from a flat start. Raises ConvergenceError
+    with the residual history when the iteration stalls or the Jacobian
+    goes singular."""
     opts = opts or PowerFlowOptions()
     validate_against_network(machines, net)
     comps = connectivity_check(net)
@@ -80,10 +72,6 @@ def solve_power_flow(
     for b in net.buses:
         if b.v_setpoint is not None:
             vm[net.index_of[b.id]] = b.v_setpoint
-    if not opts.flat_start:
-        # flat start is the only schedule used by the pipeline; a warm start
-        # would need caller-provided state, which the options do not carry
-        pass
 
     p_spec, q_spec = _scheduled_injections(net, machines)
     s_spec = p_spec + 1j * q_spec
@@ -145,8 +133,6 @@ class OperatingPoint:
     """
 
     v: np.ndarray  # complex bus voltages at the linearization point
-    sol: PowerFlowSolution
-    machine_order: list[int]  # sg buses then gfm buses
     sg_delta: np.ndarray
     sg_e: np.ndarray
     sg_p_eff: np.ndarray
@@ -155,7 +141,6 @@ class OperatingPoint:
     gfm_ve: np.ndarray
     gfm_p_eff: np.ndarray
     gfm_vs_eff: np.ndarray
-    gfm_q_meas: np.ndarray
 
 
 def init_dynamic_states(
@@ -199,7 +184,6 @@ def init_dynamic_states(
     gfm_e = np.zeros(n_gfm)
     gfm_p_eff = np.zeros(n_gfm)
     gfm_vs_eff = np.zeros(n_gfm)
-    gfm_q_meas = np.zeros(n_gfm)
     for j, g in enumerate(machines.gfms):
         k = net.index_of[g.bus]
         bus = net.bus(g.bus)
@@ -209,7 +193,6 @@ def init_dynamic_states(
         gfm_delta[j] = np.angle(vk)
         gfm_e[j] = np.abs(vk)
         gfm_p_eff[j] = p_gen
-        gfm_q_meas[j] = q_gen
         gfm_vs_eff[j] = np.abs(vk) - g.lambda_q * (g.q_set - q_gen)
         if g.bus != slack and abs(p_gen - g.p_set) > tol:
             raise ValidationError(
@@ -219,8 +202,6 @@ def init_dynamic_states(
 
     return OperatingPoint(
         v=sol.v.copy(),
-        sol=sol,
-        machine_order=[m.bus for m in machines.sgs] + [m.bus for m in machines.gfms],
         sg_delta=sg_delta,
         sg_e=sg_e,
         sg_p_eff=sg_p_eff,
@@ -229,5 +210,4 @@ def init_dynamic_states(
         gfm_ve=np.zeros(n_gfm),
         gfm_p_eff=gfm_p_eff,
         gfm_vs_eff=gfm_vs_eff,
-        gfm_q_meas=gfm_q_meas,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coherency import epsilon_decompose, slow_variable
 from .errors import InputOutputError
-from .linearize import row_sum_check, symmetry_gap
+from .linearize import row_sum_check
 from .scenario import CaseResult, ScenarioReport
 
 CSV_FMT = "%.10g"
@@ -63,6 +63,20 @@ def _delta_by_slot(case: CaseResult) -> np.ndarray:
     return np.array([by_bus[b] for b in case.slot_buses])
 
 
+def _modes_band(case: CaseResult) -> list[dict]:
+    return [
+        {
+            "freq_hz": m.freq_hz,
+            "damping_ratio": m.damping_ratio,
+            "components": [
+                {"bus": b, "mag": float(np.abs(c)), "phase_rad": float(np.angle(c))}
+                for b, c in zip(m.machine_order, m.components)
+            ],
+        }
+        for m in case.modes_band
+    ]
+
+
 def case_to_dict(case: CaseResult) -> dict:
     lap = case.lap
     stats = row_sum_check(lap.l)
@@ -89,7 +103,7 @@ def case_to_dict(case: CaseResult) -> dict:
             "row_sum_mean": stats.mean,
             "row_sum_std": stats.std,
             "row_sum_max": stats.max,
-            "symmetry_gap": symmetry_gap(lap.l),
+            "symmetry_gap": case.sub.symmetry_defect,
             "m_e": _py(lap.m_e),
             "eigenvalues": _py(case.sub.eigenvalues),
             "eigengap": _py(case.sub.eigengap),
@@ -105,21 +119,7 @@ def case_to_dict(case: CaseResult) -> dict:
             "epsilon_normalized": eps.epsilon_normalized,
         },
         "slow_variables": _py(slow),
-        "modes_band": [
-            {
-                "freq_hz": m.freq_hz,
-                "damping_ratio": m.damping_ratio,
-                "components": [
-                    {
-                        "bus": b,
-                        "mag": float(np.abs(c)),
-                        "phase_rad": float(np.angle(c)),
-                    }
-                    for b, c in zip(m.machine_order, m.components)
-                ],
-            }
-            for m in case.modes_band
-        ],
+        "modes_band": _modes_band(case),
         "modes_all_hz": [m.freq_hz for m in case.modes_all],
     }
 
@@ -131,7 +131,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "areas_r": spec.areas_r,
         "band_hz": [spec.band_hz[0], spec.band_hz[1]],
         "options": {
-            "lossless": spec.options.lossless,
+            "lossless": True,  # the only model slow coherency accepts
             "tol": spec.options.tol,
             "max_iter": spec.options.max_iter,
         },
@@ -240,7 +240,7 @@ def _rowsums_csv(report: ScenarioReport) -> str:
         if case is None:
             continue
         stats = row_sum_check(case.lap.l)
-        rows.append([label, stats.mean, stats.std, stats.max, symmetry_gap(case.lap.l)])
+        rows.append([label, stats.mean, stats.std, stats.max, case.sub.symmetry_defect])
     return _csv_lines(header, rows)
 
 
@@ -362,9 +362,8 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
         for label, case in (("base", report.base), (report.spec.name, report.scenario)):
             if case is None:
                 continue
-            d = case_to_dict(case)
             areas = {b: a for a, lst in enumerate(case.part.areas) for b in lst}
-            for i, m in enumerate(d["modes_band"]):
+            for i, m in enumerate(_modes_band(case)):
                 t = f"{label}: mode {i + 1} at {m['freq_hz']:.3f} Hz"
                 staged.append(
                     (out / f"{name}.{label}.mode{i + 1}.svg", mode_svg(m, areas, t))

@@ -29,10 +29,11 @@ from .coherency import (
     slow_eigensolve,
     track_modes,
 )
-from .errors import InputOutputError, ValidationError
+from .errors import InputOutputError, ValidationError, read_field
 from .linearize import (
     LaplacianPair,
     build_jacobians,
+    build_linear_model,
     check_equilibrium,
     kron_reduce,
     state_matrix,
@@ -59,7 +60,6 @@ class Replacement:
 
 @dataclass
 class ScenarioOptions:
-    lossless: bool = True
     tol: float = 1e-8
     max_iter: int = 30
 
@@ -88,29 +88,31 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         if key not in raw:
             raise ValidationError(f"scenario JSON missing required key '{key}'")
     reps = []
-    for e in raw["replacements"]:
+    for i, e in enumerate(raw["replacements"]):
+        where = f"replacements[{i}]"
+        retire = read_field(e, "retire_sg_bus", int, where)
+        gfm_bus = read_field(e, "gfm_bus", int, where)
         params = e.get("gfm_params", "default")
         if params != "default" and not isinstance(params, dict):
             raise ValidationError("gfm_params must be an object or \"default\"")
-        reps.append(
-            Replacement(
-                retire_sg_bus=int(e["retire_sg_bus"]),
-                gfm_bus=int(e["gfm_bus"]),
-                gfm_params=params,
-            )
-        )
+        reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
     band = raw.get("band_hz", {"lo": 0.3, "hi": 1.0})
     opts_raw = raw.get("options", {})
     opts = ScenarioOptions(
-        lossless=bool(opts_raw.get("lossless", True)),
-        tol=float(opts_raw.get("tol", 1e-8)),
-        max_iter=int(opts_raw.get("max_iter", 30)),
+        tol=read_field(opts_raw, "tol", float, "options", 1e-8),
+        max_iter=read_field(opts_raw, "max_iter", int, "options", 30),
     )
+    # the key survives only to declare the reactive-path (lossless) model
+    if opts_raw.get("lossless", True) is not True:
+        raise ValidationError(
+            "options.lossless must be true: slow coherency needs the reactive-path reduction"
+        )
     spec = ScenarioSpec(
         name=str(raw["name"]),
         replacements=reps,
-        areas_r=int(raw["areas_r"]),
-        band_hz=(float(band["lo"]), float(band["hi"])),
+        areas_r=read_field(raw, "areas_r", int, "scenario"),
+        band_hz=(read_field(band, "lo", float, "band_hz"),
+                 read_field(band, "hi", float, "band_hz")),
         options=opts,
     )
     if spec.areas_r < 1:
@@ -146,7 +148,7 @@ def apply_scenario(
 
     retired: list[int] = []
     new_gfms: list[Gfm] = []
-    for rep in spec.replacements:
+    for i, rep in enumerate(spec.replacements):
         sg = machines.sg_at(rep.retire_sg_bus)
         if sg is None:
             raise ValidationError(f"no SG to retire at bus {rep.retire_sg_bus}")
@@ -180,7 +182,7 @@ def apply_scenario(
         entry.setdefault("p_set", round(float(p_solved), 12))
         entry.setdefault("q_set", round(float(q_solved), 12))
         entry.setdefault("v_set", round(v_here, 12))
-        new_gfms.append(gfm_from_dict(entry))
+        new_gfms.append(gfm_from_dict(entry, f"replacements[{i}].gfm_params"))
 
     slack = net.slack_id()
     new_buses: list[Bus] = []
@@ -263,10 +265,10 @@ def _analyze_case(
     pf_opts = PowerFlowOptions(tol=spec.options.tol, max_iter=spec.options.max_iter)
     sol = solve_power_flow(net, machines, pf_opts)
     op = init_dynamic_states(net, machines, sol)
-    eq = check_equilibrium(net, machines, op)
-
-    blocks = build_jacobians(net, machines, op, lossless=spec.options.lossless)
-    lap = kron_reduce(blocks)
+    dispatch = build_linear_model(net, machines, op, lossless=False)
+    eq = check_equilibrium(dispatch, op)
+    reactive = build_linear_model(net, machines, op, lossless=True)
+    lap = kron_reduce(build_jacobians(reactive))
 
     if slot_map is not None and base_order is not None:
         slot_buses = [slot_map.get(b, b) for b in base_order]
@@ -279,7 +281,7 @@ def _analyze_case(
     sub = slow_eigensolve(lap, spec.areas_r)
     part = group_machines(sub)
 
-    sys_full = state_matrix(net, machines, op)
+    sys_full = state_matrix(build_jacobians(dispatch))
     modes_all = mode_shapes(sys_full, band=None)
     prow = [sys_full.machine_order.index(b) for b in slot_buses]
     for m in modes_all:

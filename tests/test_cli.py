@@ -154,6 +154,58 @@ def test_modeshape_no_match(tmp_path, capsys):
     assert not (tmp_path / "m.svg").exists()
 
 
+def test_modeshape_missing_report_is_io_error(tmp_path, capsys):
+    rc = run_cli([
+        "modeshape", "--report", tmp_path / "none.report.json",
+        "--freq", "0.5", "--out", tmp_path / "m.svg",
+    ])
+    assert rc == 4
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_modeshape_unwritable_out_is_io_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", DATA / "base.json", "--out", out, "--emit", "json",
+    ])
+    report = out / "base.report.json"
+    freq = json.loads(report.read_text())["base"]["modes_band"][0]["freq_hz"]
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    rc = run_cli([
+        "modeshape", "--report", report, "--freq", f"{freq:.6f}",
+        "--out", blocker / "m.svg",
+    ])
+    assert rc == 4
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_malformed_network_entry_is_validation_error(tmp_path, capsys):
+    net, machines = two_bus_dicts()
+    del net["branches"][0]["from"]
+    netp, msp = tmp_path / "net.json", tmp_path / "ms.json"
+    netp.write_text(json.dumps(net))
+    msp.write_text(json.dumps(machines))
+    rc = run_cli(["validate", "--network", netp, "--machines", msp])
+    assert rc == 1
+    assert "branches[0]: missing field 'from'" in capsys.readouterr().err
+
+
+def test_lossless_false_is_validation_error(tmp_path, capsys):
+    spec = json.loads((DATA / "scenario1.json").read_text())
+    spec["options"]["lossless"] = False
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    rc = run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", sp, "--out", tmp_path / "o",
+    ])
+    assert rc == 1
+    assert "options.lossless" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

@@ -1,12 +1,15 @@
 """Analytic Jacobian blocks against central finite differences, and the
 Kron-reduced Laplacian against its closed-form expression."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import coherence_lab as cl
 from coherence_lab.errors import PipelineError
 from coherence_lab.linearize import (
+    COND_WARN_LIMIT,
     algebraic_residual,
     build_linear_model,
     frequency_residual,
@@ -38,8 +41,8 @@ def block_close(got, want, tol=1e-6):
 def assert_blocks_match_fd(net, ms, op, lossless):
     """Every A-block is the derivative of one residual family with
     respect to one variable group; check all of them."""
-    blocks = cl.build_jacobians(net, ms, op, lossless=lossless)
     model = build_linear_model(net, ms, op, lossless=lossless)
+    blocks = cl.build_jacobians(model)
     ds0, df0, ef0, v0 = point_state(model)
     n_sg, n_gfm = model.n_sg, model.n_gfm
 
@@ -86,8 +89,7 @@ def test_blocks_match_finite_differences_68(net68, ms68):
 
 
 def closed_form_gap(net, ms, op):
-    blocks = cl.build_jacobians(net, ms, op, lossless=True)
-    lap = cl.kron_reduce(blocks)
+    lap = cl.kron_reduce(cl.build_jacobians(build_linear_model(net, ms, op, lossless=True)))
     kron_b = cl.reduced_susceptance(net, ms, op)
     want = cl.laplacian_closed_form(ms, op, kron_b)
     return float(np.max(np.abs(lap.l - want)))
@@ -140,22 +142,38 @@ def test_equilibrium_gate_rejects_bad_point(net68, ms68):
     op.sg_delta = op.sg_delta.copy()
     op.sg_delta[0] += 0.05
     with pytest.raises(PipelineError, match="not an equilibrium"):
-        cl.build_jacobians(net68, ms68, op)
+        cl.check_equilibrium(build_linear_model(net68, ms68, op, lossless=False), op)
 
 
-def test_near_singular_reduction_warns(net68, ms68):
+@pytest.fixture(scope="module")
+def reactive_blocks68(net68, ms68):
     _, op = solve_and_init(net68, ms68)
-    blocks = cl.build_jacobians(net68, ms68, op, lossless=True)
-    blocks.a33 = blocks.a33.copy()
-    blocks.a33[0, :] *= 1e-13
-    with pytest.warns(RuntimeWarning, match="near singular"):
-        cl.kron_reduce(blocks)
+    return cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=True))
+
+
+@pytest.mark.parametrize("row", [0, 17, 67, 100, 135])
+@pytest.mark.parametrize("scale", [1e-2, 1e-13, 1e-15])
+def test_near_singular_reduction_warns(reactive_blocks68, row, scale):
+    """The probe estimate is a lower bound on cond_1, so it may stay quiet
+    just above the limit, but it must flag every block whose exact
+    condition number is two orders past it, and never a benign one."""
+    a33 = reactive_blocks68.a33.copy()
+    a33[row, :] *= scale
+    blocks = dataclasses.replace(reactive_blocks68, a33=a33)
+    exact = np.linalg.cond(a33)
+    if exact > 100 * COND_WARN_LIMIT:
+        with pytest.warns(RuntimeWarning, match="near singular"):
+            cl.kron_reduce(blocks)
+    else:
+        # cond_1 <= n cond_2, so no lower bound on cond_1 can cross the limit
+        assert exact < COND_WARN_LIMIT / a33.shape[0]
+        cl.kron_reduce(blocks)  # a warning here fails under the suite's filterwarnings
 
 
 def test_state_matrix_angle_block_is_scaled_laplacian(net68, ms68):
     _, op = solve_and_init(net68, ms68)
-    sys = cl.state_matrix(net68, ms68, op)
-    blocks = cl.build_jacobians(net68, ms68, op, lossless=False)
+    blocks = cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=False))
+    sys = cl.state_matrix(blocks)
     lap = cl.kron_reduce(blocks)
     n_r = len(lap.machine_order)
     names = sys.state_names
@@ -171,10 +189,11 @@ def test_state_matrix_two_machine_frequency():
     eigenstructure against a closed formula."""
     net, ms = build_small_system(5, n_m=2)
     _, op = solve_and_init(net, ms)
-    sys = cl.state_matrix(net, ms, op)
+    blocks = cl.build_jacobians(build_linear_model(net, ms, op, lossless=False))
+    sys = cl.state_matrix(blocks)
     modes = cl.mode_shapes(sys)
     assert len(modes) == 1
-    lap = cl.kron_reduce(cl.build_jacobians(net, ms, op))
+    lap = cl.kron_reduce(blocks)
     want = np.sqrt(np.max(np.abs(np.linalg.eigvals(lap.l_bar)))) / (2 * np.pi)
     assert modes[0].freq_hz == pytest.approx(want, rel=1e-8)
     # antiphase shape
@@ -183,7 +202,8 @@ def test_state_matrix_two_machine_frequency():
 
 
 def test_state_matrix_is_stable(case_base):
-    sys = cl.state_matrix(case_base.net, case_base.machines, case_base.op)
+    model = build_linear_model(case_base.net, case_base.machines, case_base.op, lossless=False)
+    sys = cl.state_matrix(cl.build_jacobians(model))
     assert np.max(np.linalg.eigvals(sys.a).real) < 1e-6
 
 

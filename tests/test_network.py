@@ -154,6 +154,10 @@ def test_connectivity_split_network():
      "zero impedance"),
     (lambda d: d["buses"][0].pop("v_setpoint"), "requires v_setpoint"),
     (lambda d: d["buses"][0].update(kind="pq"), "exactly one slack"),
+    (lambda d: d["branches"][0].pop("from"), r"branches\[0\]: missing field 'from'"),
+    (lambda d: d["buses"][1].update(load_p="abc"),
+     r"buses\[1\]: bad value 'abc' for field 'load_p'"),
+    (lambda d: d["buses"].append(7), r"buses\[2\]: expected an object"),
 ])
 def test_validation_rejects(mutate, fragment):
     d = {

@@ -117,7 +117,7 @@ def test_iteration_cap_respected():
 
 def test_init_dynamic_states_is_equilibrium(net68, ms68):
     sol, op = solve_and_init(net68, ms68)
-    eq = cl.check_equilibrium(net68, ms68, op)
+    eq = cl.check_equilibrium(cl.build_linear_model(net68, ms68, op, lossless=False), op)
     assert eq.max_residual < 1e-8
     # every family individually small, not just the max
     assert all(v < 1e-8 for v in eq.families.values())
@@ -126,7 +126,7 @@ def test_init_dynamic_states_is_equilibrium(net68, ms68):
 def test_init_dynamic_states_with_gfms():
     net, ms = build_small_system(11, n_m=6, n_gfm=2)
     sol, op = solve_and_init(net, ms)
-    eq = cl.check_equilibrium(net, ms, op)
+    eq = cl.check_equilibrium(cl.build_linear_model(net, ms, op, lossless=False), op)
     assert eq.max_residual < 1e-8
     assert op.gfm_e.shape == (2,)
     assert np.all(op.gfm_e > 0.5)

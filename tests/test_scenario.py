@@ -2,11 +2,13 @@
 and batch execution."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import reportio
 from coherence_lab.errors import ValidationError
 from coherence_lab.scenario import (
     THREADS_ENV,
@@ -30,7 +32,6 @@ def test_scenario_parsing_roundtrip():
     assert spec.name == "scenario1"
     assert spec.areas_r == 5
     assert spec.band_hz == (0.3, 1.0)
-    assert spec.options.lossless is True
     assert [(r.retire_sg_bus, r.gfm_bus) for r in spec.replacements] == [(65, 37)]
     assert spec.replacements[0].gfm_params == "default"
 
@@ -45,6 +46,19 @@ def test_scenario_parsing_roundtrip():
     ({"name": "x", "areas_r": 2,
       "replacements": [{"retire_sg_bus": 1, "gfm_bus": 2, "gfm_params": 5}]},
      "gfm_params"),
+    ({"name": "x", "areas_r": 2, "replacements": [{"retire_sg_bus": 1}]},
+     r"replacements\[0\]: missing field 'gfm_bus'"),
+    ({"name": "x", "areas_r": 2, "replacements": [{"retire_sg_bus": "a", "gfm_bus": 2}]},
+     r"replacements\[0\]: bad value 'a' for field 'retire_sg_bus'"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": {"lo": 0.3}},
+     "band_hz: missing field 'hi'"),
+    ({"name": "x", "replacements": [], "areas_r": "two"}, "field 'areas_r'"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"lossless": False}},
+     "options.lossless"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"lossless": "yes"}},
+     "options.lossless"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"tol": "tight"}},
+     "options: bad value 'tight' for field 'tol'"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -102,6 +116,8 @@ def test_gfm_param_overrides(net68, ms68):
     ([Replacement(65, 37), Replacement(65, 36)], "retired twice"),
     ([Replacement(65, 999)], "not in network"),
     ([Replacement(65, 66)], "already has a machine"),
+    ([Replacement(65, 37, gfm_params={"tau": "slow"})],
+     r"replacements\[0\]\.gfm_params: bad value 'slow' for field 'tau'"),
 ])
 def test_apply_scenario_rejects(net68, ms68, reps, fragment):
     spec = ScenarioSpec(name="bad", replacements=reps, areas_r=5)
@@ -201,3 +217,44 @@ def test_pipeline_deterministic_laplacian(net68, ms68):
     assert [m.freq_hz for m in r1.scenario.modes_band] == [
         m.freq_hz for m in r2.scenario.modes_band
     ]
+
+
+def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
+    """One power flow, one dispatch and one reactive model, one equilibrium
+    gate and two Jacobian assemblies per case; two report dicts per job;
+    no SVD condition number."""
+    stages = {
+        "build_admittance": cl.network.build_admittance,
+        "build_linear_model": cl.linearize.build_linear_model,
+        "check_equilibrium": cl.linearize.check_equilibrium,
+        "build_jacobians": cl.linearize.build_jacobians,
+        "case_to_dict": reportio.case_to_dict,
+    }
+    counts = dict.fromkeys(stages, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patch every module attribute that binds a stage, as the pipeline
+    # calls each one through its own module's namespace
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "coherence_lab"]
+    for name, fn in stages.items():
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    counts["cond"] = 0
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+
+    report = cl.run_pipeline(net68, ms68, s1_spec())
+    reportio.emit(report, tmp_path, {"json", "csv", "svg", "matrices"})
+    assert counts == {
+        "build_admittance": 6,
+        "build_linear_model": 4,
+        "check_equilibrium": 2,
+        "build_jacobians": 4,
+        "case_to_dict": 2,
+        "cond": 0,
+    }
