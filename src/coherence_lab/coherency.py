@@ -165,8 +165,8 @@ class ModeShape:
     machine_order: list[int]
 
 
-def mode_shapes(sys: StateSpace, band: tuple[float, float] | None = None) -> list[ModeShape]:
-    """Oscillatory modes of the full state matrix, optionally band-filtered.
+def mode_shapes(sys: StateSpace) -> list[ModeShape]:
+    """Oscillatory modes of the full state matrix.
 
     One mode per conjugate pair; components are the frequency-state rows
     of the eigenvector scaled so the largest entry is exactly 1.
@@ -178,8 +178,6 @@ def mode_shapes(sys: StateSpace, band: tuple[float, float] | None = None) -> lis
         if lam.imag <= 1e-9:
             continue
         f = lam.imag / (2.0 * np.pi)
-        if band is not None and not (band[0] <= f <= band[1]):
-            continue
         comp = vecs[sys.omega_rows, idx].copy()
         k = int(np.argmax(np.abs(comp)))
         if np.abs(comp[k]) > 0:

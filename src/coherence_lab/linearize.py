@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +43,12 @@ class LinearModel:
     variant: str
     net: Network
     machines: MachineSet
+    op: OperatingPoint
     y_model: np.ndarray
     v_point: np.ndarray
     sg_idx: np.ndarray
     gfm_idx: np.ndarray
-    sg_e: np.ndarray
-    sg_delta: np.ndarray
     sg_gp: np.ndarray  # 1/xd'
-    sg_p_eff: np.ndarray
-    gfm_e: np.ndarray
-    gfm_delta: np.ndarray
-    gfm_p_eff: np.ndarray
 
     @property
     def n_bus(self) -> int:
@@ -68,12 +63,11 @@ class LinearModel:
         return self.gfm_idx.size
 
 
-def _load_admittances(net: Network, v0: np.ndarray, lossless: bool) -> np.ndarray:
+def _load_admittances(net: Network, v0: np.ndarray) -> np.ndarray:
     vm2 = np.abs(v0) ** 2
     y = np.zeros(net.n_bus, dtype=complex)
     for i, b in enumerate(net.buses):
-        yl = complex(b.load_p, -b.load_q) / vm2[i]
-        y[i] = 1j * yl.imag if lossless else yl
+        y[i] = complex(b.load_p, -b.load_q) / vm2[i]
     return y
 
 
@@ -89,7 +83,7 @@ def build_linear_model(
     sg_gp = np.array([1.0 / m.xd_prime for m in machines.sgs])
 
     y = build_admittance(net, lossless=lossless)
-    y[np.diag_indices_from(y)] += _load_admittances(net, op.v, lossless)
+    y[np.diag_indices_from(y)] += _load_admittances(net, op.v)
     if lossless:
         y = 1j * y.imag
         v_point = _anchor_voltages(y, sg_idx, gfm_idx, sg_gp, op)
@@ -100,17 +94,12 @@ def build_linear_model(
         variant="reactive" if lossless else "dispatch",
         net=net,
         machines=machines,
+        op=op,
         y_model=y,
         v_point=v_point,
         sg_idx=sg_idx,
         gfm_idx=gfm_idx,
-        sg_e=op.sg_e.copy(),
-        sg_delta=op.sg_delta.copy(),
         sg_gp=sg_gp,
-        sg_p_eff=op.sg_p_eff.copy(),
-        gfm_e=op.gfm_e.copy(),
-        gfm_delta=op.gfm_delta.copy(),
-        gfm_p_eff=op.gfm_p_eff.copy(),
     )
 
 
@@ -157,7 +146,7 @@ def algebraic_residual(
     n = model.n_bus
     v = v_rect[:n] + 1j * v_rect[n:]
     i_mach = np.zeros(n, dtype=complex)
-    u_sg = model.sg_e * np.exp(1j * sg_delta)
+    u_sg = model.op.sg_e * np.exp(1j * sg_delta)
     for i, k in enumerate(model.sg_idx):
         i_mach[k] += -1j * model.sg_gp[i] * (u_sg[i] - v[k])
     s = v * np.conj(i_mach - model.y_model @ v)
@@ -183,20 +172,22 @@ def frequency_residual(
     v = v_rect[:n] + 1j * v_rect[n:]
     out = np.zeros(model.n_sg + model.n_gfm)
     vk = v[model.sg_idx]
-    p_gap = model.sg_gp * model.sg_e * (
+    op = model.op
+    p_gap = model.sg_gp * op.sg_e * (
         vk.real * np.sin(sg_delta) - vk.imag * np.cos(sg_delta)
     )
-    out[: model.n_sg] = model.sg_p_eff - p_gap
+    out[: model.n_sg] = op.sg_p_eff - p_gap
     if model.n_gfm:
         i_net = model.y_model @ v
         p_term = (v * np.conj(i_net)).real[model.gfm_idx]
-        out[model.n_sg :] = model.gfm_p_eff - p_term
+        out[model.n_sg :] = op.gfm_p_eff - p_term
     return out
 
 
 def point_state(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     v_rect = np.concatenate([model.v_point.real, model.v_point.imag])
-    return model.sg_delta.copy(), model.gfm_delta.copy(), model.gfm_e.copy(), v_rect
+    op = model.op
+    return op.sg_delta.copy(), op.gfm_delta.copy(), op.gfm_e.copy(), v_rect
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +199,12 @@ class EquilibriumReport:
     families: dict[str, float]
 
 
-def check_equilibrium(model: LinearModel, op: OperatingPoint) -> EquilibriumReport:
+def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     """Max absolute state-derivative and algebraic residual of the dispatch
-    model at the operating point; above EQUILIBRIUM_TOL the point is not a
+    model at its operating point; above EQUILIBRIUM_TOL the point is not a
     solution, any Jacobian taken there is meaningless, and PipelineError
     is raised."""
-    net, machines, n = model.net, model.machines, model.n_bus
+    net, machines, op, n = model.net, model.machines, model.op, model.n_bus
     ds, df, ef, v_rect = point_state(model)
     freq = frequency_residual(model, ds, df, ef, v_rect)
     alg = algebraic_residual(model, ds, df, ef, v_rect)
@@ -259,40 +250,30 @@ def check_equilibrium(model: LinearModel, op: OperatingPoint) -> EquilibriumRepo
 
 @dataclass
 class JacobianBlocks:
+    """Stacked small-signal blocks of one model; machine rows and columns
+    run SG i -> i, GFM j -> n_sg + j.
+
+      a1  (n_r x n_r)    frequency rows by machine angle
+      a2  (n_r x 2N)     frequency rows by bus voltage
+      a3  (2N x n_r)     algebraic rows by machine angle
+      a33 (2N x 2N)      algebraic rows by bus voltage
+      a34 (2N x n_gfm)   algebraic rows by GFM magnitude
+
+    GFM frequency rows see neither machine angles nor magnitudes, so a1 is
+    nonzero only on its SG diagonal and no frequency-row magnitude block
+    exists. q_rows (n_gfm x 2N) is dQ/dV at the GFM buses, the part of the
+    network Jacobian that the GFM voltage loop of the state matrix reads.
+    """
+
     model: LinearModel
     machine_order: list[int]
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    a23: np.ndarray
-    a31: np.ndarray
-    a32: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
     a33: np.ndarray
     a34: np.ndarray
+    q_rows: np.ndarray
     m_e: np.ndarray  # diagonal entries
-    net_power_jac: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False, default=None)
-
-    @property
-    def a1(self) -> np.ndarray:
-        n_sg, n_gfm = self.a11.shape[0], self.a21.shape[0]
-        out = np.zeros((n_sg + n_gfm, n_sg + n_gfm))
-        out[:n_sg, :n_sg] = self.a11
-        out[n_sg:, n_sg:] = self.a21
-        return out
-
-    @property
-    def a2(self) -> np.ndarray:
-        return np.vstack([self.a12, self.a22])
-
-    @property
-    def a3(self) -> np.ndarray:
-        return np.hstack([self.a31, self.a32])
-
-    @property
-    def a4(self) -> np.ndarray:
-        n_sg = self.a11.shape[0]
-        return np.vstack([np.zeros((n_sg, self.a23.shape[1])), self.a23])
 
 
 def _network_power_jacobian(model: LinearModel):
@@ -312,9 +293,10 @@ def _network_power_jacobian(model: LinearModel):
 def build_jacobians(model: LinearModel) -> JacobianBlocks:
     """All small-signal blocks of one model at its evaluation point; only
     assembly, check_equilibrium on the dispatch model is the gate."""
-    machines = model.machines
+    machines, op = model.machines, model.op
     n = model.n_bus
     n_sg, n_gfm = model.n_sg, model.n_gfm
+    n_r = n_sg + n_gfm
     v = model.v_point
     p, q = v.real, v.imag
 
@@ -324,36 +306,33 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     rp_dp, rp_dq = -dp_dp, -dp_dq
     rq_dp, rq_dq = -dq_dp, -dq_dq
 
-    a11 = np.zeros((n_sg, n_sg))
-    a12 = np.zeros((n_sg, 2 * n))
-    a31 = np.zeros((2 * n, n_sg))
-    sin_d, cos_d = np.sin(model.sg_delta), np.cos(model.sg_delta)
+    a1 = np.zeros((n_r, n_r))
+    a2 = np.zeros((n_r, 2 * n))
+    a3 = np.zeros((2 * n, n_r))
+    sin_d, cos_d = np.sin(op.sg_delta), np.cos(op.sg_delta)
     for i, k in enumerate(model.sg_idx):
-        gp, e = model.sg_gp[i], model.sg_e[i]
+        gp, e = model.sg_gp[i], op.sg_e[i]
         sd, cd = sin_d[i], cos_d[i]
         # air-gap power P = gp*e*(p sin - q cos) drives the SG frequency row
         dpg_dd = gp * e * (p[k] * cd + q[k] * sd)
-        a11[i, i] = -dpg_dd
-        a12[i, k] = -gp * e * sd
-        a12[i, n + k] = gp * e * cd
+        a1[i, i] = -dpg_dd
+        a2[i, k] = -gp * e * sd
+        a2[i, n + k] = gp * e * cd
         # bus-side machine injection enters the balance rows at its bus
         rp_dp[k, k] += gp * e * sd
         rp_dq[k, k] += -gp * e * cd
         rq_dp[k, k] += gp * e * cd - 2.0 * gp * p[k]
         rq_dq[k, k] += gp * e * sd - 2.0 * gp * q[k]
-        a31[k, i] = dpg_dd
-        a31[n + k, i] = gp * e * (q[k] * cd - p[k] * sd)
+        a3[k, i] = dpg_dd
+        a3[n + k, i] = gp * e * (q[k] * cd - p[k] * sd)
 
-    a21 = np.zeros((n_gfm, n_gfm))
-    a23 = np.zeros((n_gfm, n_gfm))
-    a22 = np.zeros((n_gfm, 2 * n))
-    a32 = np.zeros((2 * n, n_gfm))
     a34 = np.zeros((2 * n, n_gfm))
     for j, k in enumerate(model.gfm_idx):
-        e = model.gfm_e[j]
-        sd, cd = np.sin(model.gfm_delta[j]), np.cos(model.gfm_delta[j])
-        a22[j, :n] = -dp_dp[k, :]
-        a22[j, n:] = -dp_dq[k, :]
+        r = n_sg + j
+        e = op.gfm_e[j]
+        sd, cd = np.sin(op.gfm_delta[j]), np.cos(op.gfm_delta[j])
+        a2[r, :n] = -dp_dp[k, :]
+        a2[r, n:] = -dp_dq[k, :]
         # constraint rows V - E exp(j delta) replace the bus balance
         rp_dp[k, :] = 0.0
         rp_dq[k, :] = 0.0
@@ -361,12 +340,10 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
         rq_dq[k, :] = 0.0
         rp_dp[k, k] = 1.0
         rq_dq[k, k] = 1.0
-        a32[k, j] = e * sd
-        a32[n + k, j] = -e * cd
+        a3[k, r] = e * sd
+        a3[n + k, r] = -e * cd
         a34[k, j] = -cd
         a34[n + k, j] = -sd
-
-    a33 = np.block([[rp_dp, rp_dq], [rq_dp, rq_dq]])
 
     omega0 = model.net.omega0
     m_e = np.array(
@@ -376,17 +353,13 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     return JacobianBlocks(
         model=model,
         machine_order=[m.bus for m in machines.sgs] + [g.bus for g in machines.gfms],
-        a11=a11,
-        a12=a12,
-        a21=a21,
-        a22=a22,
-        a23=a23,
-        a31=a31,
-        a32=a32,
-        a33=a33,
+        a1=a1,
+        a2=a2,
+        a3=a3,
+        a33=np.block([[rp_dp, rp_dq], [rq_dp, rq_dq]]),
         a34=a34,
+        q_rows=np.hstack([dq_dp[model.gfm_idx], dq_dq[model.gfm_idx]]),
         m_e=m_e,
-        net_power_jac=(dp_dp, dp_dq, dq_dp, dq_dq),
     )
 
 
@@ -401,19 +374,19 @@ class LaplacianPair:
     machine_order: list[int]
     feedthrough_e: np.ndarray
     variant: str
-    l0_bar: np.ndarray | None = None  # base-case reference, attached by scenarios
 
 
-def _eliminate(blocks: JacobianBlocks) -> np.ndarray:
-    """X = A33^{-1} [A3, A34]: the one solve that removes the algebraic
-    voltages.
+def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one elimination of the algebraic voltages: X = A33^{-1} [A3, A34],
+    returned with L = A1 - A2 X3 and the E-feedthrough -A2 X4.
 
     COND_PROBES fixed-seed probe columns p_j ride along in the same solve,
     so ||A33||_1 max_j ||A33^{-1} p_j||_1 / ||p_j||_1, a lower bound on
     cond_1(A33) (Dixon 1983), costs O(N^2) on top of the factorization.
     """
     a33 = blocks.a33
-    n_rhs = blocks.a3.shape[1] + blocks.a34.shape[1]
+    n_r = blocks.a3.shape[1]
+    n_rhs = n_r + blocks.a34.shape[1]
     probes = np.random.default_rng(0).standard_normal((a33.shape[0], COND_PROBES))
     try:
         x = np.linalg.solve(a33, np.hstack([blocks.a3, blocks.a34, probes]))
@@ -428,23 +401,23 @@ def _eliminate(blocks: JacobianBlocks) -> np.ndarray:
             RuntimeWarning,
             stacklevel=3,
         )
-    return x[:, :n_rhs].copy()  # contiguous, as a solve without probes returns
+    x = x[:, :n_rhs].copy()  # contiguous, as a solve without probes returns
+    l = blocks.a1 - blocks.a2 @ x[:, :n_r]
+    # subtracted from zeros, not negated, so an exact zero stays +0
+    feed = np.zeros((n_r, n_rhs - n_r)) - blocks.a2 @ x[:, n_r:]
+    return l, feed, x
 
 
 def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     """Eliminate the algebraic voltage variables.
 
     L = A1 - A2 A33^{-1} A3 couples machine angles; the E-feedthrough
-    A4 - A2 A33^{-1} A34 is reported alongside but holds no angle dynamics.
+    -A2 A33^{-1} A34 is reported alongside but holds no angle dynamics.
     """
-    n_r = blocks.a3.shape[1]
-    x = _eliminate(blocks)
-    l = blocks.a1 - blocks.a2 @ x[:, :n_r]
-    feed = blocks.a4 - blocks.a2 @ x[:, n_r:]
-    l_bar = l / blocks.m_e[:, None]
+    l, feed, _ = _reduce(blocks)
     return LaplacianPair(
         l=l,
-        l_bar=l_bar,
+        l_bar=l / blocks.m_e[:, None],
         m_e=blocks.m_e.copy(),
         machine_order=list(blocks.machine_order),
         feedthrough_e=feed,
@@ -546,10 +519,8 @@ def state_matrix(blocks: JacobianBlocks) -> StateSpace:
     n_sg, n_gfm = model.n_sg, model.n_gfm
     n_r = n_sg + n_gfm
 
-    t = -_eliminate(blocks)
-    t3, t4 = t[:, :n_r], t[:, n_r:]
-    l = blocks.a1 + blocks.a2 @ t3
-    feed = blocks.a4 + blocks.a2 @ t4
+    l, feed, x = _reduce(blocks)
+    x3, x4 = x[:, :n_r], x[:, n_r:]
 
     omega0 = model.net.omega0
     nx = 2 * n_r + 2 * n_gfm
@@ -560,8 +531,7 @@ def state_matrix(blocks: JacobianBlocks) -> StateSpace:
 
     a[sl_d, sl_w] = np.eye(n_r)
     a[sl_w, sl_d] = l / blocks.m_e[:, None]
-    if n_gfm:
-        a[sl_w, sl_e] = feed / blocks.m_e[:, None]
+    a[sl_w, sl_e] = feed / blocks.m_e[:, None]
     w_damp = np.zeros(n_r)
     for i, m in enumerate(machines.sgs):
         w_damp[i] = -m.d_internal(omega0) / m.m
@@ -569,28 +539,26 @@ def state_matrix(blocks: JacobianBlocks) -> StateSpace:
         w_damp[n_sg + j] = -1.0 / g.tau
     a[sl_w, sl_w] = np.diag(w_damp)
 
-    if n_gfm:
-        dp_dp, dp_dq, dq_dp, dq_dq = blocks.net_power_jac
-        v = model.v_point
-        p, q = v.real, v.imag
-        for j, g in enumerate(machines.gfms):
-            k = model.gfm_idx[j]
-            vm = np.abs(v[k])
-            h_vm = np.zeros(2 * n)
-            h_vm[k] = p[k] / vm
-            h_vm[n + k] = q[k] / vm
-            q_row = np.concatenate([dq_dp[k, :], dq_dq[k, :]])
-            row_v = -(h_vm + g.lambda_q * q_row) / g.tau
-            ve_row_d = row_v @ t3
-            ve_row_e = row_v @ t4
-            r = 2 * n_r + j
-            a[r, sl_d] = ve_row_d
-            a[r, sl_e] += ve_row_e
-            a[r, r] += -1.0 / g.tau
-            re = 2 * n_r + n_gfm + j
-            a[re, sl_d] = g.kpv * ve_row_d
-            a[re, sl_e] += g.kpv * ve_row_e
-            a[re, r] += g.kpv * (-1.0 / g.tau) + g.kiv
+    v = model.v_point
+    for j, g in enumerate(machines.gfms):
+        k = model.gfm_idx[j]
+        vm = np.abs(v[k])
+        h_vm = np.zeros(2 * n)
+        h_vm[k] = v[k].real / vm
+        h_vm[n + k] = v[k].imag / vm
+        # d(ve)/dt falls with |V| and Q, and dV/d(delta, E) = -X: the
+        # two signs cancel
+        row_v = (h_vm + g.lambda_q * blocks.q_rows[j]) / g.tau
+        ve_row_d = row_v @ x3
+        ve_row_e = row_v @ x4
+        r = 2 * n_r + j
+        a[r, sl_d] = ve_row_d
+        a[r, sl_e] += ve_row_e
+        a[r, r] += -1.0 / g.tau
+        re = 2 * n_r + n_gfm + j
+        a[re, sl_d] = g.kpv * ve_row_d
+        a[re, sl_e] += g.kpv * ve_row_e
+        a[re, r] += g.kpv * (-1.0 / g.tau) + g.kiv
 
     names = (
         [f"delta:{b}" for b in blocks.machine_order]

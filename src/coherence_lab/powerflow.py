@@ -16,6 +16,9 @@ from .errors import ConvergenceError, ValidationError
 from .machines import MachineSet, validate_against_network
 from .network import Network, build_admittance, connectivity_check
 
+# largest gap between a non-slack machine's solved output and its schedule
+SCHEDULE_TOL = 1e-6
+
 
 @dataclass
 class PowerFlowOptions:
@@ -147,7 +150,6 @@ def init_dynamic_states(
     net: Network,
     machines: MachineSet,
     sol: PowerFlowSolution,
-    tol: float = 1e-6,
 ) -> OperatingPoint:
     """Back out machine internal states from the solved terminal conditions.
 
@@ -173,7 +175,7 @@ def init_dynamic_states(
         sg_delta[i] = np.angle(u)
         sg_e[i] = np.abs(u)
         sg_p_eff[i] = p_gen
-        if m.bus != slack and abs(p_gen - m.p_set) > tol:
+        if m.bus != slack and abs(p_gen - m.p_set) > SCHEDULE_TOL:
             raise ValidationError(
                 f"sg at bus {m.bus}: solved output {p_gen:.6f} differs from "
                 f"schedule {m.p_set:.6f}"
@@ -194,7 +196,7 @@ def init_dynamic_states(
         gfm_e[j] = np.abs(vk)
         gfm_p_eff[j] = p_gen
         gfm_vs_eff[j] = np.abs(vk) - g.lambda_q * (g.q_set - q_gen)
-        if g.bus != slack and abs(p_gen - g.p_set) > tol:
+        if g.bus != slack and abs(p_gen - g.p_set) > SCHEDULE_TOL:
             raise ValidationError(
                 f"gfm at bus {g.bus}: solved output {p_gen:.6f} differs from "
                 f"schedule {g.p_set:.6f}"

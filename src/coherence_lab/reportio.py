@@ -380,8 +380,8 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
             staged.append(
                 (sub / "feedthrough_e.csv", _matrix_csv(case.lap.feedthrough_e, order))
             )
-            if case.lap.l0_bar is not None:
-                staged.append((sub / "l0_bar.csv", _matrix_csv(case.lap.l0_bar, order)))
+            if case is report.scenario:  # the base reference, in slot order
+                staged.append((sub / "l0_bar.csv", _matrix_csv(report.base.lap.l_bar, order)))
 
     written: list[Path] = []
     try:

@@ -11,7 +11,6 @@ scenario rows aligned into the slots of the machines they replace.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from .coherency import (
     slow_eigensolve,
     track_modes,
 )
-from .errors import InputOutputError, ValidationError, read_field
+from .errors import CoherenceLabError, InputOutputError, ValidationError, read_field
 from .linearize import (
     LaplacianPair,
     build_jacobians,
@@ -48,9 +47,6 @@ from .powerflow import (
     solve_power_flow,
 )
 
-THREADS_ENV = "COHERENCE_LAB_THREADS"
-
-
 @dataclass(frozen=True)
 class Replacement:
     retire_sg_bus: int
@@ -59,18 +55,12 @@ class Replacement:
 
 
 @dataclass
-class ScenarioOptions:
-    tol: float = 1e-8
-    max_iter: int = 30
-
-
-@dataclass
 class ScenarioSpec:
     name: str
     replacements: list[Replacement]
     areas_r: int
     band_hz: tuple[float, float] = (0.3, 1.0)
-    options: ScenarioOptions = field(default_factory=ScenarioOptions)
+    options: PowerFlowOptions = field(default_factory=PowerFlowOptions)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -98,7 +88,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
     band = raw.get("band_hz", {"lo": 0.3, "hi": 1.0})
     opts_raw = raw.get("options", {})
-    opts = ScenarioOptions(
+    opts = PowerFlowOptions(
         tol=read_field(opts_raw, "tol", float, "options", 1e-8),
         max_iter=read_field(opts_raw, "max_iter", int, "options", 30),
     )
@@ -134,14 +124,14 @@ def apply_scenario(
     solved magnitude (unless the replacement overrides v_set). GFM power
     set-points default to the retired unit's solved dispatch, so a slack
     retirement transplants the solved slack output. If the slack itself
-    retires, the remaining SG with the largest schedule is promoted.
+    retires, the remaining SG with the largest schedule is promoted; with
+    no SG left, the GFM with the largest schedule.
     """
     if not spec.replacements:
         return net, machines, []
     warnings: list[str] = []
     if base_sol is None:
-        base_sol = solve_power_flow(net, machines, PowerFlowOptions(
-            tol=spec.options.tol, max_iter=spec.options.max_iter))
+        base_sol = solve_power_flow(net, machines, spec.options)
 
     comps = connectivity_check(net)
     comp_of = {b: i for i, c in enumerate(comps) for b in c}
@@ -198,11 +188,10 @@ def apply_scenario(
             new_buses.append(b)
 
     remaining_sgs = [m for m in machines.sgs if m.bus not in retired]
+    gfms = list(machines.gfms) + new_gfms
     if slack in retired:
-        candidates = sorted(remaining_sgs, key=lambda m: (-m.p_set, m.bus))
-        if not candidates:
-            raise ValidationError("cannot retire the slack: no SG left to promote")
-        promoted = candidates[0].bus
+        # GFMs form voltage too, so a fleet without SGs still has a slack
+        promoted = min(remaining_sgs or gfms, key=lambda m: (-m.p_set, m.bus)).bus
         warnings.append(f"slack bus {slack} retired; bus {promoted} promoted to slack")
         new_buses = [
             dc_replace(b, kind="slack") if b.id == promoted else b for b in new_buses
@@ -214,7 +203,7 @@ def apply_scenario(
         buses=new_buses,
         branches=list(net.branches),
     )
-    machines2 = MachineSet(sgs=remaining_sgs, gfms=list(machines.gfms) + new_gfms)
+    machines2 = MachineSet(sgs=remaining_sgs, gfms=gfms)
     validate_against_network(machines2, net2)
     return net2, machines2, warnings
 
@@ -246,7 +235,6 @@ def _permute_lap(lap: LaplacianPair, perm: list[int], slot_buses: list[int]) -> 
         machine_order=list(slot_buses),
         feedthrough_e=lap.feedthrough_e[p, :],
         variant=lap.variant,
-        l0_bar=lap.l0_bar,
     )
 
 
@@ -262,11 +250,10 @@ def _analyze_case(
     slot_map sends a base machine bus to the bus occupying its slot in
     this case; rows of every machine-indexed product are permuted into
     that slot order so cases remain comparable."""
-    pf_opts = PowerFlowOptions(tol=spec.options.tol, max_iter=spec.options.max_iter)
-    sol = solve_power_flow(net, machines, pf_opts)
+    sol = solve_power_flow(net, machines, spec.options)
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op, lossless=False)
-    eq = check_equilibrium(dispatch, op)
+    eq = check_equilibrium(dispatch)
     reactive = build_linear_model(net, machines, op, lossless=True)
     lap = kron_reduce(build_jacobians(reactive))
 
@@ -282,7 +269,7 @@ def _analyze_case(
     part = group_machines(sub)
 
     sys_full = state_matrix(build_jacobians(dispatch))
-    modes_all = mode_shapes(sys_full, band=None)
+    modes_all = mode_shapes(sys_full)
     prow = [sys_full.machine_order.index(b) for b in slot_buses]
     for m in modes_all:
         m.components = m.components[prow]
@@ -362,7 +349,6 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
     scen = _analyze_case(
         net2, machines2, spec, slot_map=slot_map, base_order=list(base.lap.machine_order)
     )
-    scen.lap.l0_bar = base.lap.l_bar.copy()
 
     comparison = compare_subspaces(base.lap, base.sub, scen.lap, scen.sub)
     mode_track = track_modes(base.modes_band, scen.modes_all)
@@ -387,14 +373,13 @@ class BatchJob:
     label: str | None = None
 
 
-def batch_run(jobs: list[BatchJob], threads: int | None = None) -> list[dict]:
-    """Run jobs concurrently, results in input order; failures are
-    recorded, not raised."""
+def batch_run(jobs: list[BatchJob], threads: int = 1) -> list[dict]:
+    """Run jobs concurrently, results in input order. A job that fails with
+    a CoherenceLabError is recorded with its exit code; any other exception
+    is a bug and propagates to the caller."""
     from .machines import load_machines
     from .network import load_network
 
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
     threads = max(1, threads)
 
     def one(job: BatchJob) -> dict:
@@ -409,11 +394,12 @@ def batch_run(jobs: list[BatchJob], threads: int | None = None) -> list[dict]:
                 )
             report = run_pipeline(net, ms, spec)
             return {"label": job.label or spec.name, "ok": True, "report": report}
-        except Exception as exc:  # noqa: BLE001 - batch isolation is the point
+        except CoherenceLabError as exc:
             return {
                 "label": job.label or job.network,
                 "ok": False,
                 "error": f"{type(exc).__name__}: {exc}",
+                "exit_code": exc.exit_code,
             }
 
     if threads == 1:

@@ -39,40 +39,47 @@ def block_close(got, want, tol=1e-6):
 
 
 def assert_blocks_match_fd(net, ms, op, lossless):
-    """Every A-block is the derivative of one residual family with
-    respect to one variable group; check all of them."""
+    """Every stacked block is the derivative of one residual family with
+    respect to one variable group; check each machine kind's rows or
+    columns on their own scale."""
     model = build_linear_model(net, ms, op, lossless=lossless)
     blocks = cl.build_jacobians(model)
     ds0, df0, ef0, v0 = point_state(model)
     n_sg, n_gfm = model.n_sg, model.n_gfm
+    angles0 = np.concatenate([ds0, df0])
 
     freq = lambda ds, df, ef, v: frequency_residual(model, ds, df, ef, v)
     alg = lambda ds, df, ef, v: algebraic_residual(model, ds, df, ef, v)
 
-    j = fd_jacobian(lambda x: freq(x, df0, ef0, v0), ds0)
-    assert block_close(j[:n_sg], blocks.a11)
+    j = fd_jacobian(lambda x: freq(x[:n_sg], x[n_sg:], ef0, v0), angles0)
+    assert block_close(j[:n_sg], blocks.a1[:n_sg])
     if n_gfm:
-        assert np.max(np.abs(j[n_sg:])) < 1e-9  # GFM rows blind to SG angles
+        # GFM rows blind to SG angles; a1 holds exact zeros there
+        assert np.max(np.abs(j[n_sg:, :n_sg])) < 1e-9
+        assert block_close(j[n_sg:], blocks.a1[n_sg:])
+        assert not np.any(blocks.a1[n_sg:])
+        # frequency rows blind to GFM magnitudes, so no block is stored
+        j = fd_jacobian(lambda x: freq(ds0, df0, x, v0), ef0)
+        assert np.max(np.abs(j)) < 1e-9
 
     j = fd_jacobian(lambda x: freq(ds0, df0, ef0, x), v0)
-    assert block_close(j[:n_sg], blocks.a12)
-    assert block_close(j[n_sg:], blocks.a22)
-
-    if n_gfm:
-        j = fd_jacobian(lambda x: freq(ds0, x, ef0, v0), df0)
-        assert block_close(j[n_sg:], blocks.a21)  # zeros
-        j = fd_jacobian(lambda x: freq(ds0, df0, x, v0), ef0)
-        assert block_close(j[n_sg:], blocks.a23)  # zeros
+    assert block_close(j[:n_sg], blocks.a2[:n_sg])
+    assert block_close(j[n_sg:], blocks.a2[n_sg:])
 
     j = fd_jacobian(lambda x: alg(ds0, df0, ef0, x), v0)
     assert block_close(j, blocks.a33)
-    j = fd_jacobian(lambda x: alg(x, df0, ef0, v0), ds0)
-    assert block_close(j, blocks.a31)
+    j = fd_jacobian(lambda x: alg(x[:n_sg], x[n_sg:], ef0, v0), angles0)
+    assert block_close(j[:, :n_sg], blocks.a3[:, :n_sg])
     if n_gfm:
-        j = fd_jacobian(lambda x: alg(ds0, x, ef0, v0), df0)
-        assert block_close(j, blocks.a32)
+        assert block_close(j[:, n_sg:], blocks.a3[:, n_sg:])
         j = fd_jacobian(lambda x: alg(ds0, df0, x, v0), ef0)
         assert block_close(j, blocks.a34)
+
+        def q_gfm(v_rect):
+            v = v_rect[: model.n_bus] + 1j * v_rect[model.n_bus :]
+            return (v * np.conj(model.y_model @ v)).imag[model.gfm_idx]
+
+        assert block_close(fd_jacobian(q_gfm, v0), blocks.q_rows)
 
 
 @pytest.mark.parametrize("seed,n_gfm", [(21, 0), (22, 1), (23, 2)])
@@ -142,7 +149,7 @@ def test_equilibrium_gate_rejects_bad_point(net68, ms68):
     op.sg_delta = op.sg_delta.copy()
     op.sg_delta[0] += 0.05
     with pytest.raises(PipelineError, match="not an equilibrium"):
-        cl.check_equilibrium(build_linear_model(net68, ms68, op, lossless=False), op)
+        cl.check_equilibrium(build_linear_model(net68, ms68, op, lossless=False))
 
 
 @pytest.fixture(scope="module")

@@ -36,6 +36,18 @@ def test_emit_file_set(report_s1, tmp_path):
         assert p.exists() and p.stat().st_size > 0
 
 
+def test_l0_bar_is_base_l_bar_in_scenario_slots(report_s2, tmp_path):
+    """The scenario's base reference is the base case's l_bar, labelled
+    with the scenario's slot buses."""
+    emit(report_s2, tmp_path, {"matrices"})
+    mats = tmp_path / "scenario2.matrices"
+    l0 = (mats / "scenario2" / "l0_bar.csv").read_text().splitlines()
+    base = (mats / "base" / "l_bar.csv").read_text().splitlines()
+    assert l0[1:] == base[1:]
+    assert l0[0] == ",".join(str(b) for b in report_s2.scenario.slot_buses)
+    assert not (mats / "base" / "l0_bar.csv").exists()
+
+
 def test_emit_json_only(report_base, tmp_path):
     written = emit(report_base, tmp_path, {"json"})
     assert [p.name for p in written] == ["base.report.json"]

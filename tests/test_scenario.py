@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab import reportio
+from coherence_lab import reportio, scenario as scenario_mod
 from coherence_lab.errors import ValidationError
 from coherence_lab.scenario import (
-    THREADS_ENV,
     BatchJob,
     Replacement,
     ScenarioSpec,
@@ -87,6 +86,29 @@ def test_apply_scenario_promotes_slack(net68, ms68):
     assert biggest.bus == 68
 
 
+def test_retiring_every_sg_promotes_largest_gfm(net68, ms68):
+    """GFMs form voltage, so a fleet with no SG left still has a slack:
+    the GFM with the largest schedule, and the pipeline runs through."""
+    sg_buses = [m.bus for m in ms68.sgs]
+    step_up = {}  # SG bus -> network end of its step-up branch
+    for br in net68.branches:
+        if br.to_bus in sg_buses:
+            step_up[br.to_bus] = br.from_bus
+        elif br.from_bus in sg_buses:
+            step_up[br.from_bus] = br.to_bus
+    spec = ScenarioSpec(
+        name="all-gfm", replacements=[Replacement(b, step_up[b]) for b in sg_buses], areas_r=5
+    )
+    report = cl.run_pipeline(net68, ms68, spec)
+    scen = report.scenario
+    assert scen.machines.sgs == []
+    biggest = min(scen.machines.gfms, key=lambda g: (-g.p_set, g.bus))
+    assert scen.net.slack_id() == biggest.bus == 18
+    assert "slack bus 65 retired; bus 18 promoted to slack" in report.warnings
+    assert scen.slot_buses == [step_up[b] for b in report.base.slot_buses]
+    assert cl.row_sum_check(scen.lap.l).max <= 1e-10
+
+
 def test_gfm_inherits_solved_dispatch(net68, ms68):
     sol = cl.solve_power_flow(net68, ms68, cl.PowerFlowOptions())
     net2, ms2, _ = apply_scenario(net68, ms68, s1_spec(), base_sol=sol)
@@ -152,12 +174,6 @@ def test_scenario_masses_change_only_in_slot(report_s1):
     assert scen.m_e[slot] < base.m_e[slot]  # droop mass far below the big unit
 
 
-def test_pipeline_attaches_base_reference(report_s2):
-    scen = report_s2.scenario
-    assert scen.lap.l0_bar is not None
-    assert np.allclose(scen.lap.l0_bar, report_s2.base.lap.l_bar)
-
-
 def test_flipped_is_subset_of_fleet(report_s1, report_s2):
     for rep in (report_s1, report_s2):
         assert set(rep.flipped) <= set(rep.base.lap.machine_order)
@@ -193,13 +209,26 @@ def test_batch_run_isolates_failures(tmp_path):
     assert results[0]["ok"] and results[2]["ok"]
     assert not results[1]["ok"]
     assert "InputOutputError" in results[1]["error"]
+    assert results[1]["exit_code"] == 4
 
 
-def test_batch_run_threaded_matches_serial(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_run_propagates_programming_errors(tmp_path, monkeypatch, threads):
+    """Only library errors are recorded per job; anything else is a bug
+    and reaches the caller."""
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug inside a job")
+
+    monkeypatch.setattr(scenario_mod, "run_pipeline", broken)
+    jobs = [write_two_bus_job(tmp_path, f"j{i}") for i in range(2)]
+    with pytest.raises(ZeroDivisionError, match="bug inside a job"):
+        batch_run(jobs, threads=threads)
+
+
+def test_batch_run_threaded_matches_serial(tmp_path):
     jobs = [write_two_bus_job(tmp_path, f"j{i}") for i in range(3)]
     serial = batch_run(jobs, threads=1)
-    monkeypatch.setenv(THREADS_ENV, "3")
-    threaded = batch_run(jobs)  # thread count comes from the environment
+    threaded = batch_run(jobs, threads=3)
     assert [r["label"] for r in threaded] == [r["label"] for r in serial]
     for a, b in zip(serial, threaded):
         assert a["ok"] and b["ok"]
