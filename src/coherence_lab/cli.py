@@ -6,15 +6,20 @@ Exit codes: 0 success, 1 validation, 2 convergence, 3 pipeline, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .errors import CoherenceLabError, ConvergenceError, InputOutputError, ValidationError
+from .errors import (
+    CoherenceLabError,
+    ConvergenceError,
+    InputOutputError,
+    ValidationError,
+    read_json,
+)
 from .machines import load_machines
 from .network import connectivity_check, load_network
 from .powerflow import PowerFlowOptions, solve_power_flow
-from .reportio import emit, mode_svg
+from .reportio import band_mode_plots, emit, mode_svg
 from .scenario import ScenarioSpec, load_scenario, run_pipeline
 
 EMIT_CHOICES = ("json", "csv", "svg", "matrices")
@@ -97,38 +102,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_modeshape(args: argparse.Namespace) -> int:
+    doc = read_json(args.report, "report")
     try:
-        data = json.loads(Path(args.report).read_text())
-    except OSError as exc:
-        raise InputOutputError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"report {args.report} is not valid JSON: {exc}") from exc
-
-    candidates = []
-    for label in ("base", "scenario"):
-        case = data.get(label)
-        if not case:
-            continue
-        areas = {
-            int(b): a for b, a in case.get("groups", {}).get("assignment", {}).items()
-        }
-        for i, m in enumerate(case.get("modes_band", [])):
-            candidates.append((label, i, m, areas))
-    best = None
-    for label, i, m, areas in candidates:
-        err = abs(m["freq_hz"] - args.freq)
-        if best is None or err < best[0]:
-            best = (err, label, i, m, areas)
-    if best is None or best[0] > 0.01:
+        plots = band_mode_plots(doc)
+        best = min(plots, key=lambda p: abs(p[2]["freq_hz"] - args.freq), default=None)
+        if best is None or abs(best[2]["freq_hz"] - args.freq) > 0.01:
+            raise ValidationError(
+                f"no mode within 0.01 Hz of {args.freq} Hz in {args.report}"
+            )
+        _, _, mode, areas, title = best
+        svg = mode_svg(mode, areas, title)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(
-            f"no mode within 0.01 Hz of {args.freq} Hz in {args.report}"
-        )
-    _, label, i, m, areas = best
-    title = f"{label}: mode {i + 1} at {m['freq_hz']:.3f} Hz"
+            f"report {args.report} is malformed: {type(exc).__name__}: {exc}"
+        ) from None
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(mode_svg(m, areas, title))
+        out.write_text(svg)
     except OSError as exc:
         raise InputOutputError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}")

@@ -85,7 +85,7 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
     gaps: list[float | None] = []
     for i in range(n - 1):
         denom = abs(vals[i])
-        gaps.append(abs(vals[i + 1]) / denom if denom > 1e-300 else None)
+        gaps.append(float(abs(vals[i + 1]) / denom) if denom > 1e-300 else None)
     return SlowSubspace(
         eigenvalues=vals,
         w_full=w,

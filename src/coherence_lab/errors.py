@@ -6,6 +6,9 @@ triage failures without parsing messages.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 
 class CoherenceLabError(Exception):
     """Base class for all library errors."""
@@ -60,3 +63,26 @@ def read_field(entry, key: str, cast, where: str, default=_REQUIRED):
         return cast(entry[key])
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: bad value {entry[key]!r} for field '{key}'") from None
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The top-level object of a JSON file. A file that cannot be read
+    raises InputOutputError; one that is not JSON, or whose top level is
+    not an object, raises ValidationError."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputOutputError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path}: expected an object, got {type(raw).__name__}")
+    return raw
+
+
+def as_list(value) -> list:
+    """The cast for read_field of a list field: the value itself when it is
+    a JSON array."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value

@@ -352,7 +352,7 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 
     return JacobianBlocks(
         model=model,
-        machine_order=[m.bus for m in machines.sgs] + [g.bus for g in machines.gfms],
+        machine_order=machines.machine_buses,
         a1=a1,
         a2=a2,
         a3=a3,

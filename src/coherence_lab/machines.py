@@ -13,11 +13,10 @@ damping values are rescaled by omega0 where they meet a rad/s signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputOutputError, ValidationError, read_field
+from .errors import ValidationError, as_list, read_field, read_json
 from .network import Network
 
 GFM_DEFAULTS = {
@@ -86,18 +85,12 @@ class MachineSet:
 
 
 def load_machines(path: str | Path) -> MachineSet:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputOutputError(f"cannot read machine file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"machine file {path} is not valid JSON: {exc}") from exc
-    return machines_from_dict(raw)
+    return machines_from_dict(read_json(path, "machine file"))
 
 
 def machines_from_dict(raw: dict) -> MachineSet:
     sgs = []
-    for i, e in enumerate(raw.get("sgs", [])):
+    for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", [])):
         where = f"sgs[{i}]"
         sgs.append(
             Sg(
@@ -108,7 +101,10 @@ def machines_from_dict(raw: dict) -> MachineSet:
                 p_set=read_field(e, "p_set", float, where),
             )
         )
-    gfms = [gfm_from_dict(e, f"gfms[{i}]") for i, e in enumerate(raw.get("gfms", []))]
+    gfms = [
+        gfm_from_dict(e, f"gfms[{i}]")
+        for i, e in enumerate(read_field(raw, "gfms", as_list, "machines", []))
+    ]
     ms = MachineSet(sgs=sgs, gfms=gfms)
     _validate_standalone(ms)
     return ms

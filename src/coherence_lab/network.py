@@ -9,13 +9,12 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputOutputError, ValidationError, read_field
+from .errors import ValidationError, as_list, read_field, read_json
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -75,21 +74,12 @@ class Network:
 
 def load_network(path: str | Path) -> Network:
     """Read a network JSON file, validate it, and return the model."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputOutputError(f"cannot read network file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"network file {path} is not valid JSON: {exc}") from exc
-    return network_from_dict(raw)
+    return network_from_dict(read_json(path, "network file"))
 
 
 def network_from_dict(raw: dict) -> Network:
-    for key in ("base_mva", "f0_hz", "buses", "branches"):
-        if key not in raw:
-            raise ValidationError(f"network JSON missing required key '{key}'")
     buses = []
-    for i, entry in enumerate(raw["buses"]):
+    for i, entry in enumerate(read_field(raw, "buses", as_list, "network")):
         where = f"buses[{i}]"
         bus_id = read_field(entry, "id", int, where)
         kind = entry.get("kind")
@@ -107,7 +97,7 @@ def network_from_dict(raw: dict) -> Network:
             )
         )
     branches = []
-    for i, e in enumerate(raw["branches"]):
+    for i, e in enumerate(read_field(raw, "branches", as_list, "network")):
         where = f"branches[{i}]"
         branches.append(
             Branch(
@@ -120,8 +110,8 @@ def network_from_dict(raw: dict) -> Network:
             )
         )
     net = Network(
-        base_mva=float(raw["base_mva"]),
-        f0_hz=float(raw["f0_hz"]),
+        base_mva=read_field(raw, "base_mva", float, "network"),
+        f0_hz=read_field(raw, "f0_hz", float, "network"),
         buses=buses,
         branches=branches,
     )

@@ -1,5 +1,9 @@
 """Report assembly and deterministic file emission.
 
+`report_to_dict` is the one record of a run. The JSON report, every CSV
+table and every mode-shape SVG are formatted from that record; only the
+matrix dumps read the arrays, for their full precision.
+
 Everything written here must be byte-stable across identical runs:
 no timestamps, no environment echoes, fixed float formatting, fixed
 key ordering. Matrix dumps use full precision; summary tables round
@@ -20,21 +24,6 @@ from .scenario import CaseResult, ScenarioReport
 
 CSV_FMT = "%.10g"
 FULL_FMT = "%.17g"
-
-
-def _py(x):
-    """Coerce numpy scalars/arrays to plain python for json."""
-    if isinstance(x, np.ndarray):
-        return [_py(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, dict):
-        return {k: _py(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_py(v) for v in x]
-    return x
 
 
 def _gen_table(case: CaseResult) -> list[dict]:
@@ -63,25 +52,10 @@ def _delta_by_slot(case: CaseResult) -> np.ndarray:
     return np.array([by_bus[b] for b in case.slot_buses])
 
 
-def _modes_band(case: CaseResult) -> list[dict]:
-    return [
-        {
-            "freq_hz": m.freq_hz,
-            "damping_ratio": m.damping_ratio,
-            "components": [
-                {"bus": b, "mag": float(np.abs(c)), "phase_rad": float(np.angle(c))}
-                for b, c in zip(m.machine_order, m.components)
-            ],
-        }
-        for m in case.modes_band
-    ]
-
-
 def case_to_dict(case: CaseResult) -> dict:
     lap = case.lap
     stats = row_sum_check(lap.l)
-    evals = np.asarray(case.sub.eigenvalues)
-    est = np.sqrt(np.abs(evals[1:])) / (2.0 * np.pi)
+    est = np.sqrt(np.abs(case.sub.eigenvalues[1:])) / (2.0 * np.pi)
     eps = epsilon_decompose(lap, case.part)
     slow = slow_variable(case.part, lap.m_e, _delta_by_slot(case))
     total_load = float(sum(b.load_p for b in case.net.buses))
@@ -104,10 +78,10 @@ def case_to_dict(case: CaseResult) -> dict:
             "row_sum_std": stats.std,
             "row_sum_max": stats.max,
             "symmetry_gap": case.sub.symmetry_defect,
-            "m_e": _py(lap.m_e),
-            "eigenvalues": _py(case.sub.eigenvalues),
-            "eigengap": _py(case.sub.eigengap),
-            "mode_estimates_hz": _py(est),
+            "m_e": lap.m_e.tolist(),
+            "eigenvalues": case.sub.eigenvalues.tolist(),
+            "eigengap": list(case.sub.eigengap),
+            "mode_estimates_hz": est.tolist(),
         },
         "groups": {
             "reference_buses": list(case.part.reference_buses),
@@ -118,13 +92,25 @@ def case_to_dict(case: CaseResult) -> dict:
             "epsilon": eps.epsilon,
             "epsilon_normalized": eps.epsilon_normalized,
         },
-        "slow_variables": _py(slow),
-        "modes_band": _modes_band(case),
+        "slow_variables": slow.tolist(),
+        "modes_band": [
+            {
+                "freq_hz": m.freq_hz,
+                "damping_ratio": m.damping_ratio,
+                "components": [
+                    {"bus": b, "mag": float(np.abs(c)), "phase_rad": float(np.angle(c))}
+                    for b, c in zip(m.machine_order, m.components)
+                ],
+            }
+            for m in case.modes_band
+        ],
         "modes_all_hz": [m.freq_hz for m in case.modes_all],
     }
 
 
 def report_to_dict(report: ScenarioReport) -> dict:
+    """The one record of a run, plain JSON types throughout; report.json
+    and every CSV table and SVG plot are formatted from it."""
     spec = report.spec
     out = {
         "name": spec.name,
@@ -151,20 +137,20 @@ def report_to_dict(report: ScenarioReport) -> dict:
         c = report.comparison
         out["comparison"] = {
             "machine_order": list(c.machine_order),
-            "sigmas": _py(c.sigmas),
-            "thetas": _py(c.thetas),
+            "sigmas": c.sigmas.tolist(),
+            "thetas": c.thetas.tolist(),
             "theta_matrix_norm": c.theta_matrix_norm,
             "beta": c.beta,
             "beta_defined": c.beta_defined,
             "bound_rhs": c.bound_rhs,
             "bound_holds": c.bound_holds,
-            "row_shift": _py(c.row_shift),
+            "row_shift": c.row_shift.tolist(),
             "row_bound_rhs": c.row_bound_rhs,
             "row_bound_holds": c.row_bound_holds,
-            "q": _py(c.q),
+            "q": c.q.tolist(),
         }
-        out["mode_track"] = _py(report.mode_track)
-        out["flipped_machines"] = list(report.flipped or [])
+        out["mode_track"] = [dict(t) for t in report.mode_track]
+        out["flipped_machines"] = list(report.flipped)
     else:
         out["comparison"] = None
         out["mode_track"] = None
@@ -192,13 +178,21 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _modes_csv(report: ScenarioReport) -> str:
-    if report.mode_track is None:
+def _cases(doc: dict) -> list[tuple[str, dict]]:
+    """(label, case record) of the base and, when present, the scenario;
+    the scenario is labelled with the run's name."""
+    cases = [("base", doc["base"])]
+    if doc.get("scenario"):
+        cases.append((doc["name"], doc["scenario"]))
+    return cases
+
+
+def _modes_csv(doc: dict) -> str:
+    if doc["mode_track"] is None:
         header = ["mode", "base_hz"]
-        rows = [[i + 1, m.freq_hz] for i, m in enumerate(report.base.modes_band)]
+        rows = [[i + 1, m["freq_hz"]] for i, m in enumerate(doc["base"]["modes_band"])]
     else:
-        name = report.spec.name
-        header = ["mode", "base_hz", f"{name}_hz", "delta_hz", "correlation"]
+        header = ["mode", "base_hz", f"{doc['name']}_hz", "delta_hz", "correlation"]
         rows = [
             [
                 i + 1,
@@ -207,57 +201,56 @@ def _modes_csv(report: ScenarioReport) -> str:
                 t["delta_hz"],
                 t["correlation"],
             ]
-            for i, t in enumerate(report.mode_track)
+            for i, t in enumerate(doc["mode_track"])
         ]
     return _csv_lines(header, rows)
 
 
-def _groups_csv(report: ScenarioReport) -> str:
-    base = report.base
-    base_area = {b: a for a, lst in enumerate(base.part.areas) for b in lst}
-    if report.scenario is None:
+def _groups_csv(doc: dict) -> str:
+    base = doc["base"]
+    base_groups = base["groups"]
+    base_area = base_groups["assignment"]
+    scen = doc["scenario"]
+    if scen is None:
         header = ["bus", "area", "reference_bus"]
         rows = [
-            [b, base_area[b], base.part.reference_buses[base_area[b]]]
-            for b in base.slot_buses
+            [b, base_area[str(b)], base_groups["reference_buses"][base_area[str(b)]]]
+            for b in base["machine_order"]
         ]
         return _csv_lines(header, rows)
-    scen = report.scenario
-    scen_area = {b: a for a, lst in enumerate(scen.part.areas) for b in lst}
-    flipped = set(report.flipped or [])
+    scen_area = scen["groups"]["assignment"]
+    flipped = set(doc["flipped_machines"])
     header = ["base_bus", "scenario_bus", "base_area", "scenario_area", "flipped"]
-    rows = []
-    for i, b in enumerate(base.slot_buses):
-        sb = scen.slot_buses[i]
-        rows.append([b, sb, base_area[b], scen_area[sb], b in flipped])
+    rows = [
+        [b, sb, base_area[str(b)], scen_area[str(sb)], b in flipped]
+        for b, sb in zip(base["machine_order"], scen["machine_order"])
+    ]
     return _csv_lines(header, rows)
 
 
-def _rowsums_csv(report: ScenarioReport) -> str:
+def _rowsums_csv(doc: dict) -> str:
     header = ["case", "row_sum_mean", "row_sum_std", "row_sum_max", "symmetry_gap"]
     rows = []
-    for label, case in (("base", report.base), (report.spec.name, report.scenario)):
-        if case is None:
-            continue
-        stats = row_sum_check(case.lap.l)
-        rows.append([label, stats.mean, stats.std, stats.max, case.sub.symmetry_defect])
+    for label, case in _cases(doc):
+        lap = case["laplacian"]
+        rows.append([label, lap["row_sum_mean"], lap["row_sum_std"], lap["row_sum_max"],
+                     lap["symmetry_gap"]])
     return _csv_lines(header, rows)
 
 
-def _eigenvalues_csv(report: ScenarioReport) -> str:
+def _eigenvalues_csv(doc: dict) -> str:
     header = ["case", "index", "eigenvalue", "freq_estimate_hz"]
     rows = []
-    for label, case in (("base", report.base), (report.spec.name, report.scenario)):
-        if case is None:
-            continue
-        for i, e in enumerate(case.sub.eigenvalues):
-            est = np.sqrt(abs(e)) / (2 * np.pi) if i > 0 else None
-            rows.append([label, i, float(e), est])
+    for label, case in _cases(doc):
+        lap = case["laplacian"]
+        est = [None] + lap["mode_estimates_hz"]
+        for i, e in enumerate(lap["eigenvalues"]):
+            rows.append([label, i, e, est[i]])
     return _csv_lines(header, rows)
 
 
-def _bounds_csv(report: ScenarioReport) -> str:
-    c = report.comparison
+def _bounds_csv(doc: dict) -> str:
+    c = doc["comparison"]
     header = [
         "r",
         "beta",
@@ -270,17 +263,29 @@ def _bounds_csv(report: ScenarioReport) -> str:
     ]
     rows = [
         [
-            report.spec.areas_r,
-            c.beta,
-            c.theta_matrix_norm,
-            c.bound_rhs,
-            c.bound_holds,
-            float(np.max(c.row_shift)),
-            c.row_bound_rhs,
-            c.row_bound_holds,
+            doc["areas_r"],
+            c["beta"],
+            c["theta_matrix_norm"],
+            c["bound_rhs"],
+            c["bound_holds"],
+            max(c["row_shift"]),
+            c["row_bound_rhs"],
+            c["row_bound_holds"],
         ]
     ]
     return _csv_lines(header, rows)
+
+
+def band_mode_plots(doc: dict) -> list[tuple[str, int, dict, dict[int, int], str]]:
+    """(label, index, mode, areas, title) for each band mode of a report
+    record, in emission order; areas maps a bus to its area index."""
+    plots = []
+    for label, case in _cases(doc):
+        areas = {int(b): a for b, a in case["groups"]["assignment"].items()}
+        for i, m in enumerate(case["modes_band"]):
+            title = f"{label}: mode {i + 1} at {m['freq_hz']:.3f} Hz"
+            plots.append((label, i, m, areas, title))
+    return plots
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -345,31 +350,24 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
     """Write the requested artifacts; content is fully built before any
     file is opened so a failure cannot leave a partial set behind."""
     out = Path(out_dir)
-    name = report.spec.name
+    doc = report_to_dict(report)
+    name = doc["name"]
     staged: list[tuple[Path, str]] = []
 
     if "json" in formats:
-        payload = json.dumps(report_to_dict(report), indent=2)
-        staged.append((out / f"{name}.report.json", payload + "\n"))
+        staged.append((out / f"{name}.report.json", json.dumps(doc, indent=2) + "\n"))
     if "csv" in formats:
-        staged.append((out / f"{name}.modes.csv", _modes_csv(report)))
-        staged.append((out / f"{name}.groups.csv", _groups_csv(report)))
-        staged.append((out / f"{name}.rowsums.csv", _rowsums_csv(report)))
-        staged.append((out / f"{name}.eigenvalues.csv", _eigenvalues_csv(report)))
-        if report.comparison is not None:
-            staged.append((out / f"{name}.bounds.csv", _bounds_csv(report)))
+        staged.append((out / f"{name}.modes.csv", _modes_csv(doc)))
+        staged.append((out / f"{name}.groups.csv", _groups_csv(doc)))
+        staged.append((out / f"{name}.rowsums.csv", _rowsums_csv(doc)))
+        staged.append((out / f"{name}.eigenvalues.csv", _eigenvalues_csv(doc)))
+        if doc["comparison"] is not None:
+            staged.append((out / f"{name}.bounds.csv", _bounds_csv(doc)))
     if "svg" in formats:
-        for label, case in (("base", report.base), (report.spec.name, report.scenario)):
-            if case is None:
-                continue
-            areas = {b: a for a, lst in enumerate(case.part.areas) for b in lst}
-            for i, m in enumerate(_modes_band(case)):
-                t = f"{label}: mode {i + 1} at {m['freq_hz']:.3f} Hz"
-                staged.append(
-                    (out / f"{name}.{label}.mode{i + 1}.svg", mode_svg(m, areas, t))
-                )
+        for label, i, m, areas, title in band_mode_plots(doc):
+            staged.append((out / f"{name}.{label}.mode{i + 1}.svg", mode_svg(m, areas, title)))
     if "matrices" in formats:
-        for label, case in (("base", report.base), (report.spec.name, report.scenario)):
+        for label, case in (("base", report.base), (name, report.scenario)):
             if case is None:
                 continue
             sub = out / f"{name}.matrices" / label

@@ -10,7 +10,7 @@ scenario rows aligned into the slots of the machines they replace.
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -28,7 +28,7 @@ from .coherency import (
     slow_eigensolve,
     track_modes,
 )
-from .errors import CoherenceLabError, InputOutputError, ValidationError, read_field
+from .errors import CoherenceLabError, ValidationError, as_list, read_field, read_json
 from .linearize import (
     LaplacianPair,
     build_jacobians,
@@ -64,13 +64,7 @@ class ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputOutputError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
@@ -78,7 +72,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         if key not in raw:
             raise ValidationError(f"scenario JSON missing required key '{key}'")
     reps = []
-    for i, e in enumerate(raw["replacements"]):
+    for i, e in enumerate(read_field(raw, "replacements", as_list, "scenario")):
         where = f"replacements[{i}]"
         retire = read_field(e, "retire_sg_bus", int, where)
         gfm_bus = read_field(e, "gfm_bus", int, where)
@@ -116,9 +110,9 @@ def apply_scenario(
     net: Network,
     machines: MachineSet,
     spec: ScenarioSpec,
-    base_sol: PowerFlowSolution | None = None,
+    base_sol: PowerFlowSolution,
 ) -> tuple[Network, MachineSet, list[str]]:
-    """Build the scenario network and machine fleet.
+    """Build the scenario network and machine fleet from the solved base.
 
     Retired buses become pq; each GFM bus becomes pv holding the base-case
     solved magnitude (unless the replacement overrides v_set). GFM power
@@ -130,8 +124,6 @@ def apply_scenario(
     if not spec.replacements:
         return net, machines, []
     warnings: list[str] = []
-    if base_sol is None:
-        base_sol = solve_power_flow(net, machines, spec.options)
 
     comps = connectivity_check(net)
     comp_of = {b: i for i, c in enumerate(comps) for b in c}
@@ -242,14 +234,13 @@ def _analyze_case(
     net: Network,
     machines: MachineSet,
     spec: ScenarioSpec,
-    slot_map: dict[int, int] | None = None,
-    base_order: list[int] | None = None,
+    slot_buses: list[int],
 ) -> CaseResult:
     """Power flow through modal analysis for one machine fleet.
 
-    slot_map sends a base machine bus to the bus occupying its slot in
-    this case; rows of every machine-indexed product are permuted into
-    that slot order so cases remain comparable."""
+    slot_buses lists the machine bus of each slot; rows of every
+    machine-indexed product are permuted into that slot order so cases
+    remain comparable."""
     sol = solve_power_flow(net, machines, spec.options)
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op, lossless=False)
@@ -257,10 +248,6 @@ def _analyze_case(
     reactive = build_linear_model(net, machines, op, lossless=True)
     lap = kron_reduce(build_jacobians(reactive))
 
-    if slot_map is not None and base_order is not None:
-        slot_buses = [slot_map.get(b, b) for b in base_order]
-    else:
-        slot_buses = list(lap.machine_order)
     row_of = {b: i for i, b in enumerate(lap.machine_order)}
     perm = [row_of[b] for b in slot_buses]
     lap = _permute_lap(lap, perm, slot_buses)
@@ -270,9 +257,8 @@ def _analyze_case(
 
     sys_full = state_matrix(build_jacobians(dispatch))
     modes_all = mode_shapes(sys_full)
-    prow = [sys_full.machine_order.index(b) for b in slot_buses]
-    for m in modes_all:
-        m.components = m.components[prow]
+    for m in modes_all:  # the state matrix rows follow the reduction's order
+        m.components = m.components[perm]
         m.machine_order = list(slot_buses)
     lo, hi = spec.band_hz
     modes_band = [m for m in modes_all if lo <= m.freq_hz <= hi]
@@ -303,34 +289,26 @@ class ScenarioReport:
     warnings: list[str]
 
 
-def _flipped_machines(base: Partition, scen: Partition, slot_buses: list[int]) -> list[int]:
-    """Slots whose area changed, matching areas by member overlap."""
-    base_area = {b: a for a, lst in enumerate(base.areas) for b in lst}
-    scen_area = {b: a for a, lst in enumerate(scen.areas) for b in lst}
-    base_order = base.machine_order
-    # map scenario area -> base area with the largest slot overlap
-    n_scen = len(scen.areas)
-    mapping: dict[int, int] = {}
-    for a in range(n_scen):
-        slots = {i for i, b in enumerate(slot_buses) if scen_area[b] == a}
-        best, best_ov = 0, -1
-        for ab in range(len(base.areas)):
-            bslots = {i for i, b in enumerate(base_order) if base_area[b] == ab}
-            ov = len(slots & bslots)
-            if ov > best_ov:
-                best, best_ov = ab, ov
-        mapping[a] = best
-    flipped = []
-    for i, b in enumerate(slot_buses):
-        if mapping[scen_area[b]] != base_area[base_order[i]]:
-            flipped.append(base_order[i])
-    return flipped
+def _flipped_machines(base: Partition, scen: Partition) -> list[int]:
+    """Base buses of the slots whose area changed. Each scenario area is
+    matched to the base area it shares the most slots with, the lowest
+    index on a tie; both partitions are in slot order."""
+    base_area = [base.assignment[b] for b in base.machine_order]
+    scen_area = [scen.assignment[b] for b in scen.machine_order]
+    overlap = Counter(zip(scen_area, base_area))
+    match = {
+        a: max(range(len(base.areas)), key=lambda ab: (overlap[a, ab], -ab))
+        for a in range(len(scen.areas))
+    }
+    return [
+        b for b, sa, ba in zip(base.machine_order, scen_area, base_area) if match[sa] != ba
+    ]
 
 
 def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> ScenarioReport:
     """Base case, optional scenario case, comparison, and mode tracking."""
     warnings: list[str] = []
-    base = _analyze_case(net, machines, spec)
+    base = _analyze_case(net, machines, spec, machines.machine_buses)
 
     if not spec.replacements:
         return ScenarioReport(
@@ -346,13 +324,11 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
     net2, machines2, warns = apply_scenario(net, machines, spec, base_sol=base.sol)
     warnings.extend(warns)
     slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
-    scen = _analyze_case(
-        net2, machines2, spec, slot_map=slot_map, base_order=list(base.lap.machine_order)
-    )
+    scen = _analyze_case(net2, machines2, spec, [slot_map.get(b, b) for b in base.slot_buses])
 
     comparison = compare_subspaces(base.lap, base.sub, scen.lap, scen.sub)
     mode_track = track_modes(base.modes_band, scen.modes_all)
-    flipped = _flipped_machines(base.part, scen.part, scen.slot_buses)
+    flipped = _flipped_machines(base.part, scen.part)
 
     return ScenarioReport(
         spec=spec,

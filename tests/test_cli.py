@@ -206,6 +206,67 @@ def test_lossless_false_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("which, content, fragment", [
+    ("network", "[]", "expected an object, got list"),
+    ("network", "5", "expected an object, got int"),
+    ("machines", "[]", "expected an object, got list"),
+    ("machines", "5", "expected an object, got int"),
+    ("machines", '{"sgs": 5}', "machines: bad value 5 for field 'sgs'"),
+    ("machines", '{"gfms": {}}', "field 'gfms'"),
+    ("scenario", "[]", "expected an object, got list"),
+    ("scenario", "5", "expected an object, got int"),
+    ("scenario", '{"name": "x", "replacements": 5, "areas_r": 2}',
+     "field 'replacements'"),
+    ("scenario", b"\xff\xfe", "is not valid JSON"),
+])
+def test_malformed_input_file_is_validation_error(tmp_path, capsys, which, content, fragment):
+    files = {
+        "network": DATA / "network.json",
+        "machines": DATA / "machines.json",
+        "scenario": DATA / "scenario1.json",
+    }
+    files[which] = tmp_path / f"{which}.json"
+    if isinstance(content, bytes):
+        files[which].write_bytes(content)
+    else:
+        files[which].write_text(content)
+    rc = run_cli([
+        "run", "--network", files["network"], "--machines", files["machines"],
+        "--scenario", files["scenario"], "--out", tmp_path / "o",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and fragment in err
+
+
+def emitted_base_report(tmp_path) -> Path:
+    out = tmp_path / "o"
+    run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", DATA / "base.json", "--out", out, "--emit", "json",
+    ])
+    return out / "base.report.json"
+
+
+@pytest.mark.parametrize("corrupt, fragment", [
+    (lambda doc: doc["base"]["modes_band"][1].pop("freq_hz"), "KeyError: 'freq_hz'"),
+    (lambda doc: doc["base"]["groups"]["assignment"].update({"bus7": 0}),
+     "ValueError: invalid literal"),
+])
+def test_modeshape_malformed_report_is_validation_error(tmp_path, capsys, corrupt, fragment):
+    report = emitted_base_report(tmp_path)
+    doc = json.loads(report.read_text())
+    freq = doc["base"]["modes_band"][0]["freq_hz"]
+    corrupt(doc)
+    report.write_text(json.dumps(doc))
+    svg = tmp_path / "m.svg"
+    rc = run_cli(["modeshape", "--report", report, "--freq", repr(freq), "--out", svg])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: report {report} is malformed: ") and fragment in err
+    assert not svg.exists()
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

@@ -158,6 +158,9 @@ def test_connectivity_split_network():
     (lambda d: d["buses"][1].update(load_p="abc"),
      r"buses\[1\]: bad value 'abc' for field 'load_p'"),
     (lambda d: d["buses"].append(7), r"buses\[2\]: expected an object"),
+    (lambda d: d.update(buses=5), "network: bad value 5 for field 'buses'"),
+    (lambda d: d.update(branches={"from": 1, "to": 2}), "field 'branches'"),
+    (lambda d: d.update(base_mva="big"), "network: bad value 'big' for field 'base_mva'"),
 ])
 def test_validation_rejects(mutate, fragment):
     d = {

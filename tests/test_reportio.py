@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import coherence_lab as cl
+from coherence_lab.cli import main as cli_main
 from coherence_lab.errors import InputOutputError
 from coherence_lab.reportio import case_to_dict, emit, mode_svg, report_to_dict
 
@@ -155,3 +155,102 @@ def test_mode_svg_antiphase_pair():
     svg = mode_svg(mode, {1: 0, 2: 1}, "pair")
     assert svg.count("<line") >= 2
     assert ">1</text>" in svg and ">2</text>" in svg
+
+
+def cell(x) -> str:
+    """How a CSV table renders one report.json value."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return "%.10g" % x
+    return str(x)
+
+
+def csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("fixture", ["report_base", "report_s1", "report_s2"])
+def test_csv_tables_are_views_of_report_json(fixture, request, tmp_path):
+    """Every cell of every summary table is the matching report.json
+    value under %.10g."""
+    emit(request.getfixturevalue(fixture), tmp_path, {"json", "csv"})
+    doc = json.loads(next(tmp_path.glob("*.report.json")).read_text())
+    name = doc["name"]
+    cases = [("base", doc["base"])]
+    if doc["scenario"] is not None:
+        cases.append((name, doc["scenario"]))
+
+    keys = ("row_sum_mean", "row_sum_std", "row_sum_max", "symmetry_gap")
+    _, rows = csv_rows(tmp_path / f"{name}.rowsums.csv")
+    assert rows == [[label] + [cell(c["laplacian"][k]) for k in keys] for label, c in cases]
+
+    want = []
+    for label, c in cases:
+        lap = c["laplacian"]
+        for i, e in enumerate(lap["eigenvalues"]):
+            est = lap["mode_estimates_hz"][i - 1] if i else None
+            want.append([label, str(i), cell(e), cell(est)])
+    _, rows = csv_rows(tmp_path / f"{name}.eigenvalues.csv")
+    assert rows == want
+
+    base = doc["base"]
+    area = base["groups"]["assignment"]
+    _, rows = csv_rows(tmp_path / f"{name}.groups.csv")
+    _, modes = csv_rows(tmp_path / f"{name}.modes.csv")
+    if doc["scenario"] is None:
+        refs = base["groups"]["reference_buses"]
+        assert rows == [
+            [str(b), cell(area[str(b)]), cell(refs[area[str(b)]])]
+            for b in base["machine_order"]
+        ]
+        assert modes == [[str(i + 1), cell(m["freq_hz"])]
+                         for i, m in enumerate(base["modes_band"])]
+        assert not (tmp_path / f"{name}.bounds.csv").exists()
+        return
+
+    scen = doc["scenario"]
+    scen_area = scen["groups"]["assignment"]
+    assert rows == [
+        [str(b), str(sb), cell(area[str(b)]), cell(scen_area[str(sb)]),
+         cell(b in doc["flipped_machines"])]
+        for b, sb in zip(base["machine_order"], scen["machine_order"])
+    ]
+    track = ("base_freq_hz", "scenario_freq_hz", "delta_hz", "correlation")
+    assert modes == [[str(i + 1)] + [cell(t[k]) for k in track]
+                     for i, t in enumerate(doc["mode_track"])]
+    c = doc["comparison"]
+    _, rows = csv_rows(tmp_path / f"{name}.bounds.csv")
+    assert rows == [[
+        cell(doc["areas_r"]), cell(c["beta"]), cell(c["theta_matrix_norm"]),
+        cell(c["bound_rhs"]), cell(c["bound_holds"]), cell(max(c["row_shift"])),
+        cell(c["row_bound_rhs"]), cell(c["row_bound_holds"]),
+    ]]
+
+
+@pytest.mark.parametrize("fixture", ["report_base", "report_s1", "report_s2"])
+def test_modeshape_reproduces_every_emitted_svg(fixture, request, tmp_path, capsys):
+    """`modeshape --freq f` on the emitted report writes the same bytes as
+    the emitted SVG of the band mode at f, base and scenario alike."""
+    emit(request.getfixturevalue(fixture), tmp_path, {"json", "svg"})
+    report = next(tmp_path.glob("*.report.json"))
+    doc = json.loads(report.read_text())
+    name = doc["name"]
+    cases = [("base", doc["base"])]
+    if doc["scenario"] is not None:
+        cases.append((name, doc["scenario"]))
+    for label, case in cases:
+        assert case["modes_band"]
+        for i, m in enumerate(case["modes_band"]):
+            replot = tmp_path / "replot" / f"{label}.{i}.svg"
+            rc = cli_main([
+                "modeshape", "--report", str(report),
+                "--freq", repr(m["freq_hz"]), "--out", str(replot),
+            ])
+            assert rc == 0
+            emitted = tmp_path / f"{name}.{label}.mode{i + 1}.svg"
+            assert replot.read_bytes() == emitted.read_bytes(), emitted.name
+    capsys.readouterr()

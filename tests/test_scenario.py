@@ -26,6 +26,12 @@ def s1_spec():
     return cl.load_scenario(DATA / "scenario1.json")
 
 
+@pytest.fixture(scope="module")
+def sol68(net68, ms68):
+    """The solved base case that apply_scenario builds on."""
+    return cl.solve_power_flow(net68, ms68, s1_spec().options)
+
+
 def test_scenario_parsing_roundtrip():
     spec = s1_spec()
     assert spec.name == "scenario1"
@@ -58,14 +64,18 @@ def test_scenario_parsing_roundtrip():
      "options.lossless"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"tol": "tight"}},
      "options: bad value 'tight' for field 'tol'"),
+    ({"name": "x", "replacements": 5, "areas_r": 2},
+     "scenario: bad value 5 for field 'replacements'"),
+    ({"name": "x", "replacements": {"retire_sg_bus": 65, "gfm_bus": 37}, "areas_r": 2},
+     "field 'replacements'"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
         scenario_from_dict(raw)
 
 
-def test_apply_scenario_rewires_buses(net68, ms68):
-    net2, ms2, warns = apply_scenario(net68, ms68, s1_spec())
+def test_apply_scenario_rewires_buses(net68, ms68, sol68):
+    net2, ms2, warns = apply_scenario(net68, ms68, s1_spec(), sol68)
     assert net2.bus(65).kind == "pq"
     assert net2.bus(37).kind == "pv"
     assert ms2.sg_at(65) is None
@@ -77,9 +87,9 @@ def test_apply_scenario_rewires_buses(net68, ms68):
     assert ms68.sg_at(65) is not None
 
 
-def test_apply_scenario_promotes_slack(net68, ms68):
+def test_apply_scenario_promotes_slack(net68, ms68, sol68):
     # bus 65 is the slack; the largest remaining schedule takes over
-    net2, ms2, warns = apply_scenario(net68, ms68, s1_spec())
+    net2, ms2, warns = apply_scenario(net68, ms68, s1_spec(), sol68)
     assert net2.slack_id() == 68
     assert any("promoted to slack" in w for w in warns)
     biggest = max((m for m in ms2.sgs), key=lambda m: m.p_set)
@@ -120,13 +130,13 @@ def test_gfm_inherits_solved_dispatch(net68, ms68):
     assert net2.bus(37).v_setpoint == pytest.approx(g.v_set)
 
 
-def test_gfm_param_overrides(net68, ms68):
+def test_gfm_param_overrides(net68, ms68, sol68):
     spec = ScenarioSpec(
         name="custom",
         replacements=[Replacement(65, 37, gfm_params={"tau": 0.1, "lambda_p": 0.02})],
         areas_r=5,
     )
-    _, ms2, _ = apply_scenario(net68, ms68, spec)
+    _, ms2, _ = apply_scenario(net68, ms68, spec, sol68)
     g = ms2.gfm_at(37)
     assert g.tau == 0.1
     assert g.lambda_p == 0.02
@@ -141,10 +151,10 @@ def test_gfm_param_overrides(net68, ms68):
     ([Replacement(65, 37, gfm_params={"tau": "slow"})],
      r"replacements\[0\]\.gfm_params: bad value 'slow' for field 'tau'"),
 ])
-def test_apply_scenario_rejects(net68, ms68, reps, fragment):
+def test_apply_scenario_rejects(net68, ms68, sol68, reps, fragment):
     spec = ScenarioSpec(name="bad", replacements=reps, areas_r=5)
     with pytest.raises(ValidationError, match=fragment):
-        apply_scenario(net68, ms68, spec)
+        apply_scenario(net68, ms68, spec, sol68)
 
 
 def test_base_only_pipeline(report_base):
@@ -212,6 +222,20 @@ def test_batch_run_isolates_failures(tmp_path):
     assert results[1]["exit_code"] == 4
 
 
+@pytest.mark.parametrize("scenario", [[], {"name": "bad", "replacements": 5, "areas_r": 1}])
+def test_batch_run_records_malformed_scenario(tmp_path, scenario):
+    """A scenario file of the wrong shape fails its own job with exit
+    code 1; the jobs around it still run."""
+    good = write_two_bus_job(tmp_path, "good")
+    sp = tmp_path / "bad.scn.json"
+    sp.write_text(json.dumps(scenario))
+    bad = BatchJob(network=good.network, machines=good.machines, scenario=str(sp), label="bad")
+    results = batch_run([good, bad, good], threads=2)
+    assert [r["ok"] for r in results] == [True, False, True]
+    assert results[1]["exit_code"] == 1
+    assert results[1]["error"].startswith("ValidationError: ")
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_batch_run_propagates_programming_errors(tmp_path, monkeypatch, threads):
     """Only library errors are recorded per job; anything else is a bug
@@ -250,14 +274,16 @@ def test_pipeline_deterministic_laplacian(net68, ms68):
 
 def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
     """One power flow, one dispatch and one reactive model, one equilibrium
-    gate and two Jacobian assemblies per case; two report dicts per job;
-    no SVD condition number."""
+    gate and two Jacobian assemblies per case; one report dict, and with it
+    one row-sum check, per case however many formats are emitted; no SVD
+    condition number."""
     stages = {
         "build_admittance": cl.network.build_admittance,
         "build_linear_model": cl.linearize.build_linear_model,
         "check_equilibrium": cl.linearize.check_equilibrium,
         "build_jacobians": cl.linearize.build_jacobians,
         "case_to_dict": reportio.case_to_dict,
+        "row_sum_check": cl.linearize.row_sum_check,
     }
     counts = dict.fromkeys(stages, 0)
 
@@ -285,5 +311,6 @@ def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
         "check_equilibrium": 2,
         "build_jacobians": 4,
         "case_to_dict": 2,
+        "row_sum_check": 2,
         "cond": 0,
     }

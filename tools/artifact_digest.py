@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Digest of every artifact the bundled 68-bus runs emit.
+
+    python3 tools/artifact_digest.py OUT
+
+Runs base, scenario1 and scenario2 through `coherence-lab run --emit
+json,csv,svg,matrices` into OUT, with the package imported from this
+checkout's src/. It prints the BLAS thread count, then one `sha256  path`
+line per file, paths relative to OUT in sorted order. OUT must be empty
+or absent. Two checkouts emit the same artifacts when `diff` finds no
+difference in their output.
+
+BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is set; the
+count is pinned before numpy loads, because the emitted numbers may
+differ in the last bit between thread counts.
+"""
+
+import os
+
+THREADS = os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+for _var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = THREADS
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from coherence_lab import cli  # noqa: E402
+
+DATA = SRC / "coherence_lab" / "data" / "ieee68"
+CASES = ("base", "scenario1", "scenario2")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists() and any(out.iterdir()):
+        print(f"artifact_digest: {out} is not empty", file=sys.stderr)
+        return 2
+    for case in CASES:
+        with contextlib.redirect_stdout(io.StringIO()):  # the run summary
+            rc = cli.main([
+                "run", "--network", str(DATA / "network.json"),
+                "--machines", str(DATA / "machines.json"),
+                "--scenario", str(DATA / f"{case}.json"),
+                "--out", str(out), "--emit", "json,csv,svg,matrices",
+            ])
+        if rc != 0:
+            print(f"artifact_digest: {case} exited {rc}", file=sys.stderr)
+            return rc
+    print(f"OPENBLAS_NUM_THREADS={THREADS}")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
