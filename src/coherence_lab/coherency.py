@@ -206,21 +206,25 @@ def track_modes(base: list[ModeShape], scen: list[ModeShape]) -> list[dict]:
     """Follow each base mode into a scenario by eigenvector correlation.
 
     Rows must already be aligned (same machine slots). Frequency bands
-    are no help here since the interesting mode leaves the band.
+    are no help here since the interesting mode leaves the band. Each base
+    mode takes the first scenario mode of highest |b^H s| / (|b| |s|).
     """
+    if not scen:
+        return [{"base_freq_hz": bm.freq_hz, "scenario_freq_hz": None,
+                 "delta_hz": None, "correlation": None} for bm in base]
+    s = np.array([sm.components for sm in scen])
+    b = np.array([bm.components for bm in base]).reshape(len(base), s.shape[1])
+    den = np.linalg.norm(b, axis=1)[:, None] * np.linalg.norm(s, axis=1)[None, :]
+    corr = np.divide(np.abs(b.conj() @ s.T), den, out=np.zeros(den.shape), where=den > 0)
     tracked = []
-    for bm in base:
-        best, best_c = None, -1.0
-        for sm in scen:
-            c = shape_correlation(bm.components, sm.components)
-            if c > best_c:
-                best, best_c = sm, c
+    for bm, k in zip(base, corr.argmax(axis=1)):
+        best = scen[k]
         tracked.append(
             {
                 "base_freq_hz": bm.freq_hz,
-                "scenario_freq_hz": best.freq_hz if best else None,
-                "delta_hz": (best.freq_hz - bm.freq_hz) if best else None,
-                "correlation": best_c if best else None,
+                "scenario_freq_hz": best.freq_hz,
+                "delta_hz": best.freq_hz - bm.freq_hz,
+                "correlation": shape_correlation(bm.components, best.components),
             }
         )
     return tracked

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .machines import MachineSet
-from .network import Network, build_admittance
+from .network import Network, _pattern, build_admittance
 from .powerflow import OperatingPoint
 
 EQUILIBRIUM_TOL = 1e-6
@@ -277,17 +277,26 @@ class JacobianBlocks:
 
 
 def _network_power_jacobian(model: LinearModel):
-    """d(P,Q)/d(Re V, Im V) of the quadratic network injections, N x N each."""
+    """d(P,Q)/d(Re V, Im V) of the quadratic network injections, the 2N x 2N
+    [[dP/dRe, dP/dIm], [dQ/dRe, dQ/dIm]] evaluated only on the pattern of the
+    model admittance: (rows, cols, values); every other entry is zero."""
+    rows, cols = _pattern(model.y_model)
+    y = model.y_model[rows, cols]
+    g, b = y.real, y.imag
     v = model.v_point
-    p, q = v.real, v.imag
-    g, b = model.y_model.real, model.y_model.imag
+    p, q = v.real[rows], v.imag[rows]
     i0 = model.y_model @ v
-    ar, bi = i0.real, i0.imag
-    dp_dp = p[:, None] * g + q[:, None] * b + np.diag(ar)
-    dp_dq = -p[:, None] * b + q[:, None] * g + np.diag(bi)
-    dq_dp = q[:, None] * g - p[:, None] * b - np.diag(bi)
-    dq_dq = -q[:, None] * b - p[:, None] * g + np.diag(ar)
-    return dp_dp, dp_dq, dq_dp, dq_dq
+    diag = rows == cols  # one entry per row, rows ascending
+    ar, bi = np.zeros(rows.size), np.zeros(rows.size)
+    ar[diag] = i0.real
+    bi[diag] = i0.imag
+    n = model.n_bus
+    return (
+        np.concatenate([rows, rows, n + rows, n + rows]),
+        np.concatenate([cols, n + cols, cols, n + cols]),
+        np.concatenate([p * g + q * b + ar, -p * b + q * g + bi,
+                        q * g - p * b - bi, -q * b - p * g + ar]),
+    )
 
 
 def build_jacobians(model: LinearModel) -> JacobianBlocks:
@@ -297,49 +306,44 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     n = model.n_bus
     n_sg, n_gfm = model.n_sg, model.n_gfm
     n_r = n_sg + n_gfm
-    v = model.v_point
-    p, q = v.real, v.imag
 
-    dp_dp, dp_dq, dq_dp, dq_dq = _network_power_jacobian(model)
-
+    rows, cols, d_pq = _network_power_jacobian(model)
     # residual rows are injections minus network flows
-    rp_dp, rp_dq = -dp_dp, -dp_dq
-    rq_dp, rq_dq = -dq_dp, -dq_dq
+    a33 = np.zeros((2 * n, 2 * n))
+    a33[rows, cols] = -d_pq
 
     a1 = np.zeros((n_r, n_r))
     a2 = np.zeros((n_r, 2 * n))
     a3 = np.zeros((2 * n, n_r))
-    sin_d, cos_d = np.sin(op.sg_delta), np.cos(op.sg_delta)
-    for i, k in enumerate(model.sg_idx):
-        gp, e = model.sg_gp[i], op.sg_e[i]
-        sd, cd = sin_d[i], cos_d[i]
-        # air-gap power P = gp*e*(p sin - q cos) drives the SG frequency row
-        dpg_dd = gp * e * (p[k] * cd + q[k] * sd)
-        a1[i, i] = -dpg_dd
-        a2[i, k] = -gp * e * sd
-        a2[i, n + k] = gp * e * cd
-        # bus-side machine injection enters the balance rows at its bus
-        rp_dp[k, k] += gp * e * sd
-        rp_dq[k, k] += -gp * e * cd
-        rq_dp[k, k] += gp * e * cd - 2.0 * gp * p[k]
-        rq_dq[k, k] += gp * e * sd - 2.0 * gp * q[k]
-        a3[k, i] = dpg_dd
-        a3[n + k, i] = gp * e * (q[k] * cd - p[k] * sd)
+    sg, i_sg = model.sg_idx, np.arange(n_sg)
+    gp, e = model.sg_gp, op.sg_e
+    sd, cd = np.sin(op.sg_delta), np.cos(op.sg_delta)
+    p, q = model.v_point.real[sg], model.v_point.imag[sg]
+    # air-gap power P = gp*e*(p sin - q cos) drives the SG frequency row
+    dpg_dd = gp * e * (p * cd + q * sd)
+    a1[i_sg, i_sg] = -dpg_dd
+    a2[i_sg, sg] = -gp * e * sd
+    a2[i_sg, n + sg] = gp * e * cd
+    # bus-side machine injection enters the balance rows at its bus
+    a33[sg, sg] += gp * e * sd
+    a33[sg, n + sg] += -gp * e * cd
+    a33[n + sg, sg] += gp * e * cd - 2.0 * gp * p
+    a33[n + sg, n + sg] += gp * e * sd - 2.0 * gp * q
+    a3[sg, i_sg] = dpg_dd
+    a3[n + sg, i_sg] = gp * e * (q * cd - p * sd)
 
     a34 = np.zeros((2 * n, n_gfm))
+    q_rows = np.zeros((n_gfm, 2 * n))
     for j, k in enumerate(model.gfm_idx):
         r = n_sg + j
         e = op.gfm_e[j]
         sd, cd = np.sin(op.gfm_delta[j]), np.cos(op.gfm_delta[j])
-        a2[r, :n] = -dp_dp[k, :]
-        a2[r, n:] = -dp_dq[k, :]
+        p_row, q_row = rows == k, rows == n + k
+        a2[r, cols[p_row]] = -d_pq[p_row]
+        q_rows[j, cols[q_row]] = d_pq[q_row]
         # constraint rows V - E exp(j delta) replace the bus balance
-        rp_dp[k, :] = 0.0
-        rp_dq[k, :] = 0.0
-        rq_dp[k, :] = 0.0
-        rq_dq[k, :] = 0.0
-        rp_dp[k, k] = 1.0
-        rq_dq[k, k] = 1.0
+        a33[[k, n + k], :] = 0.0
+        a33[[k, n + k], [k, n + k]] = 1.0
         a3[k, r] = e * sd
         a3[n + k, r] = -e * cd
         a34[k, j] = -cd
@@ -356,9 +360,9 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
         a1=a1,
         a2=a2,
         a3=a3,
-        a33=np.block([[rp_dp, rp_dq], [rq_dp, rq_dq]]),
+        a33=a33,
         a34=a34,
-        q_rows=np.hstack([dq_dp[model.gfm_idx], dq_dq[model.gfm_idx]]),
+        q_rows=q_rows,
         m_e=m_e,
     )
 

@@ -156,24 +156,29 @@ def build_admittance(net: Network, lossless: bool = False) -> np.ndarray:
     With lossless=True all branch resistances and bus shunt conductances are
     dropped; charging and shunt susceptances are kept.
     """
-    n = net.n_bus
-    y = np.zeros((n, n), dtype=complex)
+    # np.add.at is unbuffered: stamps accumulate in branch order, then shunts
+    rows, cols, vals = [], [], []
     for br in net.branches:
         f = net.index_of[br.from_bus]
         t = net.index_of[br.to_bus]
-        r = 0.0 if lossless else br.r
-        ys = 1.0 / complex(r, br.x)
+        ys = 1.0 / complex(0.0 if lossless else br.r, br.x)
         yc = 0.5j * br.b_charging
-        tap = br.tap
-        y[f, f] += (ys + yc) / tap**2
-        y[t, t] += ys + yc
-        y[f, t] -= ys / tap
-        y[t, f] -= ys / tap
-    for b in net.buses:
-        k = net.index_of[b.id]
-        g = 0.0 if lossless else b.shunt_g
-        y[k, k] += complex(g, b.shunt_b)
+        rows += (f, t, f, t)
+        cols += (f, t, t, f)
+        vals += ((ys + yc) / br.tap**2, ys + yc, -(ys / br.tap), -(ys / br.tap))
+    diag = [net.index_of[b.id] for b in net.buses]
+    vals += [complex(0.0 if lossless else b.shunt_g, b.shunt_b) for b in net.buses]
+    y = np.zeros((net.n_bus, net.n_bus), dtype=complex)
+    np.add.at(y, (rows + diag, cols + diag), np.array(vals, dtype=complex))
     return y
+
+
+def _pattern(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the nonzeros of y plus its whole diagonal:
+    every entry where a network power derivative can be nonzero."""
+    mask = y != 0
+    np.fill_diagonal(mask, True)
+    return np.divmod(np.flatnonzero(mask), y.shape[1])  # 2-D np.nonzero is ~10x slower
 
 
 def connectivity_check(net: Network) -> list[list[int]]:

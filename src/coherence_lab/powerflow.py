@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .machines import MachineSet, validate_against_network
-from .network import Network, build_admittance, connectivity_check
+from .network import Network, _pattern, build_admittance, connectivity_check
 
 # largest gap between a non-slack machine's solved output and its schedule
 SCHEDULE_TOL = 1e-6
@@ -47,6 +47,36 @@ def _scheduled_injections(net: Network, machines: MachineSet) -> tuple[np.ndarra
     return p, q
 
 
+def _newton_jacobian(ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray):
+    """J(v, vm, ibus) = [[dP/dθ, dP/d|V|], [dQ/dθ, dQ/d|V|]] over the unknowns
+    θ at pvpq and |V| at pq. dS/dθ = j V conj(diag(I) - Y diag(V)) and
+    dS/d|V| = V conj(Y diag(V/|V|)) + diag(conj(I) V/|V|) are evaluated, in
+    that expression order, only on the pattern of Y; all else is zero."""
+    rows, cols = _pattern(ybus)
+    y = ybus[rows, cols]
+    diag = rows == cols  # one entry per row, rows ascending
+    n, m = ybus.shape[0], pvpq.size + pq.size
+    pos = np.full(2 * n, -1)  # Jacobian row of [P; Q] and column of [θ; |V|]
+    pos[np.concatenate([pvpq, n + pq])] = np.arange(m)
+    r = pos[np.concatenate([rows, rows, n + rows, n + rows])]
+    c = pos[np.concatenate([cols, n + cols, cols, n + cols])]
+    on = (r >= 0) & (c >= 0)
+    at = r[on] * m + c[on]
+
+    def jacobian(v: np.ndarray, vm: np.ndarray, ibus: np.ndarray) -> np.ndarray:
+        dv_norm = v / vm
+        d_i = np.zeros(rows.size, dtype=complex)
+        d_i[diag] = ibus
+        ds_dva = 1j * (v[rows] * np.conj(d_i - y * v[cols]))
+        d_i[diag] = np.conj(ibus) * dv_norm
+        ds_dvm = v[rows] * np.conj(y * dv_norm[cols]) + d_i
+        jac = np.zeros((m, m))
+        jac.flat[at] = np.concatenate([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag])[on]
+        return jac
+
+    return jacobian
+
+
 def solve_power_flow(
     net: Network,
     machines: MachineSet,
@@ -67,8 +97,7 @@ def solve_power_flow(
     n = net.n_bus
     kinds = np.array([b.kind for b in net.buses])
     pq = np.flatnonzero(kinds == "pq")
-    pv = np.flatnonzero(kinds == "pv")
-    pvpq = np.sort(np.concatenate([pv, pq]))
+    pvpq = np.flatnonzero(kinds != "slack")
 
     vm = np.ones(n)
     va = np.zeros(n)
@@ -78,6 +107,7 @@ def solve_power_flow(
 
     p_spec, q_spec = _scheduled_injections(net, machines)
     s_spec = p_spec + 1j * q_spec
+    newton_jac = _newton_jacobian(ybus, pvpq, pq)
 
     history: list[float] = []
     for it in range(opts.max_iter + 1):
@@ -100,16 +130,7 @@ def solve_power_flow(
         if it == opts.max_iter:
             break
 
-        dv_norm = v / vm
-        ds_dva = 1j * (v[:, None] * np.conj(np.diag(ibus) - ybus * v[None, :]))
-        ds_dvm = v[:, None] * np.conj(ybus * dv_norm[None, :]) + np.diag(
-            np.conj(ibus) * dv_norm
-        )
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-        j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq, pq)]
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = newton_jac(v, vm, ibus)
         try:
             dx = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:

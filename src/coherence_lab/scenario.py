@@ -10,6 +10,7 @@ scenario rows aligned into the slots of the machines they replace.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
@@ -91,8 +92,13 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         raise ValidationError(
             "options.lossless must be true: slow coherency needs the reactive-path reduction"
         )
+    name = read_field(raw, "name", str, "scenario")  # names artifacts, heads CSV columns
+    if not name or name[0] == "." or re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name):
+        raise ValidationError(
+            f"scenario: bad value {name!r} for field 'name': it is empty, starts with '.', "
+            "or holds a '/', '\\', ',' or control character")
     spec = ScenarioSpec(
-        name=str(raw["name"]),
+        name=name,
         replacements=reps,
         areas_r=read_field(raw, "areas_r", int, "scenario"),
         band_hz=(read_field(band, "lo", float, "band_hz"),

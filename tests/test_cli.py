@@ -1,11 +1,15 @@
 """End-to-end CLI behavior and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
 
+import coherence_lab
 from coherence_lab.cli import main
 from coherence_lab.errors import (
     CoherenceLabError,
@@ -206,6 +210,24 @@ def test_lossless_false_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a,b"])
+def test_unsafe_scenario_name_is_validation_error(tmp_path, capsys, name):
+    """The name becomes artifact paths and CSV headers: a path separator
+    or a comma is refused before anything is written."""
+    scenario = json.loads((DATA / "base.json").read_text())
+    scenario["name"] = name
+    sp = tmp_path / "scenario.json"
+    sp.write_text(json.dumps(scenario))
+    out = tmp_path / "trav" / "out"
+    rc = run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", sp, "--out", out, "--emit", "json,csv",
+    ])
+    assert rc == 1
+    assert "field 'name'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
+
+
 @pytest.mark.parametrize("which, content, fragment", [
     ("network", "[]", "expected an object, got list"),
     ("network", "5", "expected an object, got int"),
@@ -295,3 +317,15 @@ def test_installed_console_script_matches_pyproject():
         pytest.skip("coherence-lab is not installed in this interpreter")
     installed = dist.entry_points.select(group="console_scripts", name="coherence-lab")
     assert [ep.value for ep in installed] == [declared_console_script()]
+
+
+def test_import_loads_no_scipy():
+    """scipy is not a dependency, and importing it costs more than a whole
+    68-bus run's set-up; importing the package must not pull it in."""
+    src = Path(coherence_lab.__file__).resolve().parent.parent
+    code = ("import sys, coherence_lab\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

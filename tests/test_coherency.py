@@ -5,6 +5,8 @@ applied straight to M^{-1} L, which shares no code path with the
 symmetric-similarity route used by the library.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,69 @@ def test_track_modes_follows_correlation():
     assert rows[0]["delta_hz"] == pytest.approx(0.8)
     assert rows[1]["scenario_freq_hz"] == pytest.approx(0.88)
     assert rows[1]["correlation"] > 0.99
+
+
+def track_modes_loop(base, scen):
+    """The greedy double loop over shape_correlation: the reference the
+    vectorized selection must reproduce exactly."""
+    tracked = []
+    for bm in base:
+        best, best_c = None, -1.0
+        for sm in scen:
+            c = cl.coherency.shape_correlation(bm.components, sm.components)
+            if c > best_c:
+                best, best_c = sm, c
+        tracked.append({
+            "base_freq_hz": bm.freq_hz,
+            "scenario_freq_hz": best.freq_hz if best else None,
+            "delta_hz": (best.freq_hz - bm.freq_hz) if best else None,
+            "correlation": best_c if best else None,
+        })
+    return tracked
+
+
+def test_track_modes_matches_loop_on_fixtures(report_s1, report_s2):
+    for report in (report_s1, report_s2):
+        base, scen = report.base.modes_band, report.scenario.modes_all
+        assert report.mode_track == track_modes_loop(base, scen)
+
+
+def random_modes(rng, count, n_r, zero=()):
+    modes = []
+    for i in range(count):
+        comp = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+        if i in zero:
+            comp[:] = 0.0
+        modes.append(cl.ModeShape(
+            freq_hz=float(rng.uniform(0.1, 3.0)), damping_ratio=0.05,
+            eigenvalue=0j, components=comp, machine_order=list(range(n_r)),
+        ))
+    return modes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_track_modes_matches_loop_on_random_shapes(seed):
+    rng = np.random.default_rng(seed)
+    n_r = int(rng.integers(2, 12))
+    base = random_modes(rng, 7, n_r, zero=(3,))
+    scen = random_modes(rng, 40, n_r, zero=(0, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cl.track_modes(base, scen)
+    assert got == track_modes_loop(base, scen)
+    # a zero base shape correlates 0 with everything and takes the first mode
+    assert got[3]["correlation"] == 0.0
+    assert got[3]["scenario_freq_hz"] == scen[0].freq_hz
+
+
+def test_track_modes_edge_lists():
+    rng = np.random.default_rng(9)
+    base = random_modes(rng, 3, 4)
+    assert cl.track_modes(base, []) == [
+        {"base_freq_hz": m.freq_hz, "scenario_freq_hz": None,
+         "delta_hz": None, "correlation": None} for m in base
+    ]
+    assert cl.track_modes([], random_modes(rng, 3, 4)) == []
 
 
 def test_band_filter(case_base):

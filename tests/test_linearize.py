@@ -10,6 +10,7 @@ import coherence_lab as cl
 from coherence_lab.errors import PipelineError
 from coherence_lab.linearize import (
     COND_WARN_LIMIT,
+    _network_power_jacobian,
     algebraic_residual,
     build_linear_model,
     frequency_residual,
@@ -93,6 +94,30 @@ def test_blocks_match_finite_differences_small(seed, n_gfm, lossless):
 def test_blocks_match_finite_differences_68(net68, ms68):
     _, op = solve_and_init(net68, ms68)
     assert_blocks_match_fd(net68, ms68, op, lossless=False)
+
+
+@pytest.mark.parametrize("lossless", [False, True])
+@pytest.mark.parametrize("system", ["ieee68", "ring"])
+def test_network_power_jacobian_matches_dense_formula(net68, ms68, system, lossless):
+    """The pattern evaluation equals the dense formulas entry for entry."""
+    net, ms = (net68, ms68) if system == "ieee68" else build_small_system(8, n_m=30, n_gfm=3)
+    _, op = solve_and_init(net, ms)
+    model = build_linear_model(net, ms, op, lossless=lossless)
+    v = model.v_point
+    p, q = v.real, v.imag
+    g, b = model.y_model.real, model.y_model.imag
+    i0 = model.y_model @ v
+    ar, bi = i0.real, i0.imag
+    dense = np.block([
+        [p[:, None] * g + q[:, None] * b + np.diag(ar),
+         -p[:, None] * b + q[:, None] * g + np.diag(bi)],
+        [q[:, None] * g - p[:, None] * b - np.diag(bi),
+         -q[:, None] * b - p[:, None] * g + np.diag(ar)],
+    ])
+    rows, cols, values = _network_power_jacobian(model)
+    got = np.zeros_like(dense)
+    got[rows, cols] = values
+    np.testing.assert_array_equal(got, dense)
 
 
 def closed_form_gap(net, ms, op):

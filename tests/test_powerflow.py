@@ -8,6 +8,7 @@ import coherence_lab as cl
 from coherence_lab.errors import ConvergenceError
 from coherence_lab.machines import machines_from_dict
 from coherence_lab.network import build_admittance, network_from_dict
+from coherence_lab.powerflow import _newton_jacobian
 
 from conftest import DATA, build_small_system, solve_and_init, two_bus_dicts, two_bus_solution
 
@@ -141,3 +142,73 @@ def test_sg_internal_voltage_consistency(net68, ms68):
         k = net68.index_of[m.bus]
         u = sol.v[k] + 1j * m.xd_prime * i_net[k]
         assert abs(u - op.sg_e[i] * np.exp(1j * op.sg_delta[i])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Newton Jacobian on the admittance pattern
+
+def zero_diagonal_network():
+    """Bus 2's shunt cancels its one branch, so Y_22 is exactly 0 while
+    dS_2/dθ_2 is not: the pattern must hold the whole diagonal."""
+    return network_from_dict({
+        "base_mva": 100.0, "f0_hz": 60.0,
+        "buses": [{"id": 1, "kind": "slack", "v_setpoint": 1.0},
+                  {"id": 2, "kind": "pq", "shunt_b": 2.0}],
+        "branches": [{"from": 1, "to": 2, "r": 0.0, "x": 0.5}],
+    })
+
+
+NEWTON_NETWORKS = {
+    "ieee68": lambda: cl.load_network(DATA / "network.json"),
+    "ring12": lambda: build_small_system(3, n_m=12, n_gfm=2)[0],
+    "ring80": lambda: build_small_system(11, n_m=40)[0],
+    "zero-diagonal": zero_diagonal_network,
+}
+
+
+def dense_newton_jacobian(ybus, v, vm, pvpq, pq):
+    """Every entry of dS/dθ and dS/d|V|, then the unknowns' rows and columns."""
+    ibus = ybus @ v
+    dv_norm = v / vm
+    ds_dva = 1j * (v[:, None] * np.conj(np.diag(ibus) - ybus * v[None, :]))
+    ds_dvm = v[:, None] * np.conj(ybus * dv_norm[None, :]) + np.diag(np.conj(ibus) * dv_norm)
+    return np.block([
+        [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
+        [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
+    ])
+
+
+def power_mismatch(ybus, va, vm, pvpq, pq):
+    v = vm * np.exp(1j * va)
+    s = v * np.conj(ybus @ v)
+    return np.concatenate([s.real[pvpq], s.imag[pq]])
+
+
+@pytest.mark.parametrize("name", NEWTON_NETWORKS)
+def test_newton_jacobian_matches_dense_formula_and_differences(name):
+    net = NEWTON_NETWORKS[name]()
+    ybus = build_admittance(net)
+    if name == "zero-diagonal":
+        assert ybus[1, 1] == 0
+    kinds = np.array([b.kind for b in net.buses])
+    pq = np.flatnonzero(kinds == "pq")
+    pvpq = np.flatnonzero(kinds != "slack")
+    rng = np.random.default_rng(5)
+    va = rng.uniform(-0.3, 0.3, net.n_bus)
+    vm = rng.uniform(0.95, 1.05, net.n_bus)
+    v = vm * np.exp(1j * va)
+
+    got = _newton_jacobian(ybus, pvpq, pq)(v, vm, ybus @ v)
+    np.testing.assert_array_equal(got, dense_newton_jacobian(ybus, v, vm, pvpq, pq))
+
+    h = 1e-6
+    fd = np.zeros_like(got)
+    for c in range(got.shape[1]):
+        step_a, step_m = np.zeros(net.n_bus), np.zeros(net.n_bus)
+        if c < pvpq.size:
+            step_a[pvpq[c]] = h
+        else:
+            step_m[pq[c - pvpq.size]] = h
+        fd[:, c] = (power_mismatch(ybus, va + step_a, vm + step_m, pvpq, pq)
+                    - power_mismatch(ybus, va - step_a, vm - step_m, pvpq, pq)) / (2 * h)
+    assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(got))

@@ -68,6 +68,10 @@ def test_scenario_parsing_roundtrip():
      "scenario: bad value 5 for field 'replacements'"),
     ({"name": "x", "replacements": {"retire_sg_bus": 65, "gfm_bus": 37}, "areas_r": 2},
      "field 'replacements'"),
+    ({"name": None, "replacements": [], "areas_r": 2}, "missing field 'name'"),
+    *[({"name": bad, "replacements": [], "areas_r": 2}, "for field 'name'")
+      for bad in ("", ".hidden", "..", "../escaped", "a/b", "a\\b", "a,b",
+                  "tab\there", "line\nbreak", "nul\x00", "del\x7f", "c1\x85")],
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -222,7 +226,11 @@ def test_batch_run_isolates_failures(tmp_path):
     assert results[1]["exit_code"] == 4
 
 
-@pytest.mark.parametrize("scenario", [[], {"name": "bad", "replacements": 5, "areas_r": 1}])
+@pytest.mark.parametrize("scenario", [
+    [],
+    {"name": "bad", "replacements": 5, "areas_r": 1},
+    {"name": "../escaped", "replacements": [], "areas_r": 1},
+])
 def test_batch_run_records_malformed_scenario(tmp_path, scenario):
     """A scenario file of the wrong shape fails its own job with exit
     code 1; the jobs around it still run."""
