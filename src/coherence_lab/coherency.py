@@ -172,25 +172,22 @@ def mode_shapes(sys: StateSpace) -> list[ModeShape]:
     of the eigenvector scaled so the largest entry is exactly 1.
     """
     vals, vecs = np.linalg.eig(sys.a)
-    out: list[ModeShape] = []
-    for idx in range(vals.size):
-        lam = vals[idx]
-        if lam.imag <= 1e-9:
-            continue
-        f = lam.imag / (2.0 * np.pi)
-        comp = vecs[sys.omega_rows, idx].copy()
-        k = int(np.argmax(np.abs(comp)))
-        if np.abs(comp[k]) > 0:
-            comp = comp / comp[k]
-        out.append(
-            ModeShape(
-                freq_hz=float(f),
-                damping_ratio=float(-lam.real / abs(lam)),
-                eigenvalue=complex(lam),
-                components=comp,
-                machine_order=list(sys.machine_order),
-            )
+    osc = vals.imag > 1e-9
+    lams = vals[osc]
+    comps = vecs[sys.omega_rows][:, osc].T  # one row per mode
+    pivots = comps[np.arange(lams.size), np.argmax(np.abs(comps), axis=1)][:, None]
+    comps = np.divide(comps, pivots, out=comps.copy(), where=np.abs(pivots) > 0)
+    # the scalar abs(lam), not np.abs: the array form differs in the last bit
+    out = [
+        ModeShape(
+            freq_hz=float(lam.imag / (2.0 * np.pi)),
+            damping_ratio=float(-lam.real / abs(lam)),
+            eigenvalue=complex(lam),
+            components=comp,
+            machine_order=list(sys.machine_order),
         )
+        for lam, comp in zip(lams, comps)
+    ]
     out.sort(key=lambda m: (m.freq_hz, m.damping_ratio))
     return out
 
@@ -313,14 +310,6 @@ def compare_subspaces(
         q=q,
         machine_order=list(base_sub.machine_order),
     )
-
-
-def subspace_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical angles between column spans; basis-invariant by QR."""
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
 
 
 @dataclass

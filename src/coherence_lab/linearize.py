@@ -429,47 +429,6 @@ def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     )
 
 
-def reduced_susceptance(net: Network, machines: MachineSet, op: OperatingPoint) -> np.ndarray:
-    """Susceptance matrix of the reactive network reduced onto the machine
-    source nodes (SG internal nodes, GFM buses), machine order."""
-    model = build_linear_model(net, machines, op, lossless=True)
-    n = model.n_bus
-    n_sg = model.n_sg
-    b_full = np.zeros((n + n_sg, n + n_sg))
-    b_full[:n, :n] = model.y_model.imag
-    for i, k in enumerate(model.sg_idx):
-        bg = -model.sg_gp[i]
-        b_full[n + i, n + i] += bg
-        b_full[k, k] += bg
-        b_full[n + i, k] -= bg
-        b_full[k, n + i] -= bg
-    source = np.concatenate([np.arange(n, n + n_sg), model.gfm_idx]).astype(int)
-    keep = np.setdiff1d(np.arange(n + n_sg), source)
-    bff = b_full[np.ix_(source, source)]
-    bfr = b_full[np.ix_(source, keep)]
-    brr = b_full[np.ix_(keep, keep)]
-    try:
-        return bff - bfr @ np.linalg.solve(brr, bfr.T)
-    except np.linalg.LinAlgError:
-        raise PipelineError("interior susceptance block is singular") from None
-
-
-def laplacian_closed_form(
-    machines: MachineSet,
-    op: OperatingPoint,
-    kron_b: np.ndarray,
-) -> np.ndarray:
-    """Angle Laplacian over the reduced susceptance network:
-    L_ij = E_i E_j B_ij cos(delta_i - delta_j) off the diagonal, rows sum
-    to zero."""
-    e = np.concatenate([op.sg_e, op.gfm_e])
-    d = np.concatenate([op.sg_delta, op.gfm_delta])
-    l = (e[:, None] * e[None, :]) * kron_b * np.cos(d[:, None] - d[None, :])
-    np.fill_diagonal(l, 0.0)
-    np.fill_diagonal(l, -l.sum(axis=1))
-    return l
-
-
 @dataclass
 class RowSumStats:
     mean: float

@@ -77,12 +77,6 @@ class MachineSet:
                 return m
         return None
 
-    def gfm_at(self, bus: int) -> Gfm | None:
-        for m in self.gfms:
-            if m.bus == bus:
-                return m
-        return None
-
 
 def load_machines(path: str | Path) -> MachineSet:
     return machines_from_dict(read_json(path, "machine file"))

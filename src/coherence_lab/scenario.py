@@ -39,7 +39,7 @@ from .linearize import (
     state_matrix,
 )
 from .machines import Gfm, MachineSet, gfm_from_dict, validate_against_network
-from .network import Bus, Network, connectivity_check
+from .network import Bus, Network
 from .powerflow import (
     OperatingPoint,
     PowerFlowOptions,
@@ -80,6 +80,10 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         params = e.get("gfm_params", "default")
         if params != "default" and not isinstance(params, dict):
             raise ValidationError("gfm_params must be an object or \"default\"")
+        if isinstance(params, dict) and "bus" in params:
+            # the placement checks of apply_scenario read gfm_bus only
+            raise ValidationError(
+                f"{where}.gfm_params: field 'bus' is not allowed; the GFM sits at gfm_bus")
         reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
     band = raw.get("band_hz", {"lo": 0.3, "hi": 1.0})
     opts_raw = raw.get("options", {})
@@ -131,9 +135,6 @@ def apply_scenario(
         return net, machines, []
     warnings: list[str] = []
 
-    comps = connectivity_check(net)
-    comp_of = {b: i for i, c in enumerate(comps) for b in c}
-
     retired: list[int] = []
     new_gfms: list[Gfm] = []
     for i, rep in enumerate(spec.replacements):
@@ -152,11 +153,6 @@ def apply_scenario(
         )
         if rep.gfm_bus in occupied:
             raise ValidationError(f"gfm bus {rep.gfm_bus} already has a machine")
-        if comp_of.get(rep.gfm_bus) != comp_of.get(rep.retire_sg_bus):
-            warnings.append(
-                f"gfm bus {rep.gfm_bus} is electrically isolated from retired "
-                f"bus {rep.retire_sg_bus}"
-            )
         retired.append(rep.retire_sg_bus)
 
         k = net.index_of[rep.retire_sg_bus]

@@ -8,15 +8,26 @@ mutates them.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import coherence_lab as cl
 from coherence_lab.linearize import LaplacianPair
 
 DATA = Path(cl.__file__).parent / "data" / "ieee68"
+
+# property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result repeats; hypothesis still caches the
+# constants of the scanned source at collection, whatever the database,
+# so its storage goes to the system temporary directory, not the tree
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "coherence-lab-hypothesis")
 
 OMEGA0 = 2.0 * np.pi * 60.0
 

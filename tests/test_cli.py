@@ -210,6 +210,24 @@ def test_lossless_false_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bus", [30, 53])
+def test_gfm_params_bus_is_validation_error(tmp_path, capsys, bus):
+    """A GFM placed through gfm_params would skip the placement checks
+    made on gfm_bus: bus 30 then diverges in the power flow and bus 53
+    fails as 'must start as pq'. It is refused at load time instead."""
+    spec = json.loads((DATA / "scenario1.json").read_text())
+    spec["replacements"][0]["gfm_params"] = {"bus": bus}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    rc = run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", sp, "--out", tmp_path / "o",
+    ])
+    assert rc == 1
+    assert "replacements[0].gfm_params: field 'bus'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a,b"])
 def test_unsafe_scenario_name_is_validation_error(tmp_path, capsys, name):
     """The name becomes artifact paths and CSV headers: a path separator

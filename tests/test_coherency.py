@@ -17,6 +17,7 @@ from coherence_lab.coherency import ZERO_EVAL_REL
 from coherence_lab.errors import PipelineError, ValidationError
 
 from conftest import lap_from_weights, random_lap_pair
+from oracles import subspace_angles
 
 
 def dense_oracle_eigs(lap):
@@ -198,6 +199,18 @@ def test_comparison_rejects_mismatched_ranks():
         cl.compare_subspaces(lap0, sub2, lap1, sub3)
 
 
+@pytest.mark.parametrize("fixture", ["report_s1", "report_s2"])
+def test_comparison_angles_match_oracle(request, fixture):
+    """compare_subspaces works on sqrt(M_e) W_r, which its M_e-orthonormal
+    basis makes orthonormal already; the oracle re-orthonormalizes by QR."""
+    rep = request.getfixturevalue(fixture)
+    base, scen = rep.base, rep.scenario
+    want = subspace_angles(np.sqrt(base.lap.m_e)[:, None] * base.sub.w_r,
+                           np.sqrt(scen.lap.m_e)[:, None] * scen.sub.w_r)
+    assert np.max(np.abs(rep.comparison.sigmas - np.cos(want))) <= 1e-12
+    assert np.max(np.abs(rep.comparison.thetas - want)) <= 1e-9
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10**6))
 def test_subspace_angles_basis_invariant(seed):
@@ -207,10 +220,10 @@ def test_subspace_angles_basis_invariant(seed):
     b = rng.standard_normal((n, r))
     mix_a = rng.standard_normal((r, r)) + 3.0 * np.eye(r)
     mix_b = rng.standard_normal((r, r)) + 3.0 * np.eye(r)
-    same = cl.subspace_angles(a, a @ mix_a)
+    same = subspace_angles(a, a @ mix_a)
     assert np.max(np.abs(same)) < 1e-7
-    t1 = cl.subspace_angles(a, b)
-    t2 = cl.subspace_angles(a @ mix_a, b @ mix_b)
+    t1 = subspace_angles(a, b)
+    t2 = subspace_angles(a @ mix_a, b @ mix_b)
     assert np.max(np.abs(np.sort(t1) - np.sort(t2))) < 1e-7
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import linearize
 from coherence_lab.errors import PipelineError
 from coherence_lab.linearize import (
     COND_WARN_LIMIT,
@@ -19,6 +20,7 @@ from coherence_lab.linearize import (
 from coherence_lab.machines import Gfm
 
 from conftest import OMEGA0, build_small_system, solve_and_init
+import oracles
 
 
 def fd_jacobian(f, x0, h=1e-6):
@@ -121,9 +123,10 @@ def test_network_power_jacobian_matches_dense_formula(net68, ms68, system, lossl
 
 
 def closed_form_gap(net, ms, op):
+    """Largest entry of the Jacobian-reduced reactive L minus the closed
+    form over a susceptance network the oracle stamps itself."""
     lap = cl.kron_reduce(cl.build_jacobians(build_linear_model(net, ms, op, lossless=True)))
-    kron_b = cl.reduced_susceptance(net, ms, op)
-    want = cl.laplacian_closed_form(ms, op, kron_b)
+    want = oracles.laplacian_closed_form(op, oracles.reduced_susceptance(net, ms, op))
     return float(np.max(np.abs(lap.l - want)))
 
 
@@ -138,6 +141,29 @@ def test_closed_form_matches_jacobian_random(seed):
     net, ms = build_small_system(seed, n_gfm=n_gfm)
     _, op = solve_and_init(net, ms)
     assert closed_form_gap(net, ms, op) <= 1e-8
+
+
+def _taps_on_to_side(net):
+    return [dataclasses.replace(br, from_bus=br.to_bus, to_bus=br.from_bus)
+            if br.tap != 1.0 else br for br in net.branches]
+
+
+def _charging_sign_flipped(net):
+    return [dataclasses.replace(br, b_charging=-br.b_charging) for br in net.branches]
+
+
+@pytest.mark.parametrize("fault", [_taps_on_to_side, _charging_sign_flipped])
+def test_closed_form_catches_stamping_fault(net68, ms68, monkeypatch, fault):
+    """The oracle stamps its own network, so a faulty production stamp
+    cannot cancel out of the comparison."""
+    _, op = solve_and_init(net68, ms68)
+    stamp = linearize.build_admittance
+
+    def faulty(net, lossless=False):
+        return stamp(dataclasses.replace(net, branches=fault(net)), lossless=lossless)
+
+    monkeypatch.setattr(linearize, "build_admittance", faulty)
+    assert closed_form_gap(net68, ms68, op) > 1e-3
 
 
 def test_row_sums_and_symmetry(case_base):

@@ -13,28 +13,7 @@ from coherence_lab.errors import InputOutputError, ValidationError
 from coherence_lab.network import build_admittance, connectivity_check, network_from_dict
 
 from conftest import DATA, build_small_system
-
-
-def reference_admittance(net, lossless=False):
-    """Element-by-element oracle: each branch contributes a 2x2 block
-    [[y'+yc', -y'], [-y', y+yc]] with the tap on the from side, where
-    y' = y/t per off-diagonal and y/t^2 on the from diagonal."""
-    n = net.n_bus
-    y = np.zeros((n, n), dtype=complex)
-    for br in net.branches:
-        f, t = net.index_of[br.from_bus], net.index_of[br.to_bus]
-        z = complex(0.0 if lossless else br.r, br.x)
-        ys = 1.0 / z
-        yc = 0.5j * br.b_charging
-        block = np.array([
-            [(ys + yc) / (br.tap * br.tap), -ys / br.tap],
-            [-ys / br.tap, ys + yc],
-        ])
-        y[np.ix_([f, t], [f, t])] += block
-    for b in net.buses:
-        k = net.index_of[b.id]
-        y[k, k] += complex(0.0 if lossless else b.shunt_g, b.shunt_b)
-    return y
+from oracles import reference_admittance
 
 
 def test_admittance_matches_reference_on_fixture(net68):

@@ -1,15 +1,19 @@
 """Scenario parsing, SG-to-GFM replacement mechanics, pipeline wiring,
 and batch execution."""
 
+import dataclasses
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coherence_lab as cl
 from coherence_lab import reportio, scenario as scenario_mod
-from coherence_lab.errors import ValidationError
+from coherence_lab.errors import CoherenceLabError, ValidationError
+from coherence_lab.linearize import build_linear_model
 from coherence_lab.scenario import (
     BatchJob,
     Replacement,
@@ -19,11 +23,17 @@ from coherence_lab.scenario import (
     scenario_from_dict,
 )
 
-from conftest import DATA, two_bus_dicts
+from conftest import DATA, build_small_system, solve_and_init, two_bus_dicts
+from test_linearize import closed_form_gap
 
 
 def s1_spec():
     return cl.load_scenario(DATA / "scenario1.json")
+
+
+def gfm_at(ms, bus):
+    (g,) = [g for g in ms.gfms if g.bus == bus]
+    return g
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +82,9 @@ def test_scenario_parsing_roundtrip():
     *[({"name": bad, "replacements": [], "areas_r": 2}, "for field 'name'")
       for bad in ("", ".hidden", "..", "../escaped", "a/b", "a\\b", "a,b",
                   "tab\there", "line\nbreak", "nul\x00", "del\x7f", "c1\x85")],
+    ({"name": "x", "areas_r": 2,
+      "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"bus": 30}}]},
+     r"replacements\[0\]\.gfm_params: field 'bus' is not allowed"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -83,8 +96,7 @@ def test_apply_scenario_rewires_buses(net68, ms68, sol68):
     assert net2.bus(65).kind == "pq"
     assert net2.bus(37).kind == "pv"
     assert ms2.sg_at(65) is None
-    g = ms2.gfm_at(37)
-    assert g is not None
+    assert 37 in [g.bus for g in ms2.gfms]
     assert len(ms2.sgs) == len(ms68.sgs) - 1
     # originals untouched
     assert net68.bus(65).kind == "slack"
@@ -126,7 +138,7 @@ def test_retiring_every_sg_promotes_largest_gfm(net68, ms68):
 def test_gfm_inherits_solved_dispatch(net68, ms68):
     sol = cl.solve_power_flow(net68, ms68, cl.PowerFlowOptions())
     net2, ms2, _ = apply_scenario(net68, ms68, s1_spec(), base_sol=sol)
-    g = ms2.gfm_at(37)
+    g = gfm_at(ms2, 37)
     k = net68.index_of[65]
     p_solved = sol.p_inj[k] + net68.bus(65).load_p
     assert g.p_set == pytest.approx(p_solved, abs=1e-9)
@@ -141,7 +153,7 @@ def test_gfm_param_overrides(net68, ms68, sol68):
         areas_r=5,
     )
     _, ms2, _ = apply_scenario(net68, ms68, spec, sol68)
-    g = ms2.gfm_at(37)
+    g = gfm_at(ms2, 37)
     assert g.tau == 0.1
     assert g.lambda_p == 0.02
     assert g.lambda_q == cl.machines.GFM_DEFAULTS["lambda_q"]
@@ -159,6 +171,60 @@ def test_apply_scenario_rejects(net68, ms68, sol68, reps, fragment):
     spec = ScenarioSpec(name="bad", replacements=reps, areas_r=5)
     with pytest.raises(ValidationError, match=fragment):
         apply_scenario(net68, ms68, spec, sol68)
+
+
+def reactive_case(net, ms, spec):
+    """The scenario fleet, its operating point and its reactive L in the
+    fleet's own machine order."""
+    net2, ms2, _ = apply_scenario(net, ms, spec, cl.solve_power_flow(net, ms, spec.options))
+    _, op = solve_and_init(net2, ms2)
+    lap = cl.kron_reduce(cl.build_jacobians(build_linear_model(net2, ms2, op, lossless=True)))
+    return net2, ms2, op, lap
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_gfm_replacement_keeps_weighted_laplacian(data):
+    """The structural claim on random rings: with any set of SGs, none up
+    to all, replaced by GFMs at the grid buses their step-ups feed, the
+    reactive L stays a weighted Laplacian equal to the closed form, and a
+    GFM's droop (tau, lambda_p) enters only its slot's equivalent mass.
+    A case may be refused, but only with a typed error."""
+    n_m = data.draw(st.integers(2, 10), label="n_m")
+    net, ms = build_small_system(data.draw(st.integers(0, 10**6), label="seed"), n_m=n_m)
+    # build_small_system hangs SG i at bus n_m + 1 + i off grid bus 1 + i
+    retired = sorted(data.draw(st.sets(st.integers(0, n_m - 1)), label="retired"))
+    reps = [Replacement(n_m + 1 + i, 1 + i) for i in retired]
+    try:
+        net2, ms2, op, lap = reactive_case(net, ms, ScenarioSpec("p", reps, areas_r=1))
+    except CoherenceLabError:
+        return
+    l = lap.l
+    scale = float(np.max(np.abs(l)))
+    assert cl.symmetry_gap(l) <= 1e-10
+    assert np.max(np.abs(l.sum(axis=1))) <= 1e-10 * scale
+    vals = np.linalg.eigvalsh(0.5 * (l + l.T))
+    assert np.sum(np.abs(vals) <= 1e-10 * scale) == 1
+    assert np.max(vals) <= 1e-10 * scale
+    assert closed_form_gap(net2, ms2, op) <= 1e-8
+
+    if not reps:
+        return
+    j = data.draw(st.sampled_from(range(len(reps))), label="scaled replacement")
+    field = data.draw(st.sampled_from(["tau", "lambda_p"]), label="field")
+    k = data.draw(st.floats(0.1, 10.0), label="factor")
+    reps[j] = dataclasses.replace(
+        reps[j], gfm_params={field: cl.machines.GFM_DEFAULTS[field] * k})
+    try:
+        _, _, _, scaled = reactive_case(net, ms, ScenarioSpec("p", reps, areas_r=1))
+    except CoherenceLabError:
+        return
+    assert np.array_equal(scaled.l, l)
+    slot = lap.machine_order.index(reps[j].gfm_bus)
+    others = np.arange(l.shape[0]) != slot
+    assert np.array_equal(scaled.m_e[others], lap.m_e[others])
+    want = lap.m_e[slot] * k if field == "tau" else lap.m_e[slot] / k
+    assert abs(scaled.m_e[slot] - want) <= 1e-15 * want
 
 
 def test_base_only_pipeline(report_base):
