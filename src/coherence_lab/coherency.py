@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PipelineError, ValidationError
-from .linearize import LaplacianPair, StateSpace, symmetry_gap
+from .linearize import LaplacianPair, symmetry_gap
 
 SYMMETRY_TOL = 1e-8
 ZERO_EVAL_REL = 1e-10
 BETA_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlowSubspace:
     eigenvalues: np.ndarray  # sorted by magnitude, ascending
     w_full: np.ndarray  # M_e-orthonormal eigenvector columns
@@ -98,13 +98,13 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
     areas: list[list[int]]  # bus ids, one list per area
     reference_buses: list[int]
     alpha: np.ndarray  # rows sum to one; reference rows are unit vectors
     assignment: dict[int, int]  # bus id -> area index
-    machine_order: list[int]
+    area_rows: list[list[int]]  # rows of the slow basis, ordered as in areas
 
 
 def group_machines(sub: SlowSubspace) -> Partition:
@@ -138,43 +138,39 @@ def group_machines(sub: SlowSubspace) -> Partition:
         alpha = np.linalg.solve(w_ref.T, w_r.T).T
     except np.linalg.LinAlgError:
         raise PipelineError("reference basis is singular after pivoting") from None
-    areas: list[list[int]] = [[] for _ in range(r)]
-    assignment: dict[int, int] = {}
-    for i in range(n):
-        a = int(np.argmax(alpha[i, :]))
-        bus = sub.machine_order[i]
-        areas[a].append(bus)
-        assignment[bus] = a
-    for lst in areas:
-        lst.sort()
+    buses = sub.machine_order
+    area = alpha.argmax(axis=1).tolist()
+    area_rows: list[list[int]] = [[] for _ in range(r)]
+    for i in sorted(range(n), key=buses.__getitem__):
+        area_rows[area[i]].append(i)
     return Partition(
-        areas=areas,
-        reference_buses=[sub.machine_order[i] for i in refs],
+        areas=[[buses[i] for i in rows] for rows in area_rows],
+        reference_buses=[buses[i] for i in refs],
         alpha=alpha,
-        assignment=assignment,
-        machine_order=list(sub.machine_order),
+        assignment={buses[i]: a for i, a in enumerate(area)},
+        area_rows=area_rows,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeShape:
     freq_hz: float
     damping_ratio: float
     eigenvalue: complex
-    components: np.ndarray  # complex, frequency states, machine order
-    machine_order: list[int]
+    components: np.ndarray  # complex, one per machine
 
 
-def mode_shapes(sys: StateSpace) -> list[ModeShape]:
-    """Oscillatory modes of the full state matrix.
+def mode_shapes(a: np.ndarray, n_r: int) -> list[ModeShape]:
+    """Oscillatory modes of the full state matrix a of n_r machines.
 
     One mode per conjugate pair; components are the frequency-state rows
-    of the eigenvector scaled so the largest entry is exactly 1.
+    n_r .. 2 n_r - 1 of the eigenvector (the layout state_matrix builds),
+    scaled so the largest entry is exactly 1.
     """
-    vals, vecs = np.linalg.eig(sys.a)
+    vals, vecs = np.linalg.eig(a)
     osc = vals.imag > 1e-9
     lams = vals[osc]
-    comps = vecs[sys.omega_rows][:, osc].T  # one row per mode
+    comps = vecs[n_r : 2 * n_r][:, osc].T  # one row per mode
     pivots = comps[np.arange(lams.size), np.argmax(np.abs(comps), axis=1)][:, None]
     comps = np.divide(comps, pivots, out=comps.copy(), where=np.abs(pivots) > 0)
     # the scalar abs(lam), not np.abs: the array form differs in the last bit
@@ -184,7 +180,6 @@ def mode_shapes(sys: StateSpace) -> list[ModeShape]:
             damping_ratio=float(-lam.real / abs(lam)),
             eigenvalue=complex(lam),
             components=comp,
-            machine_order=list(sys.machine_order),
         )
         for lam, comp in zip(lams, comps)
     ]
@@ -227,7 +222,7 @@ def track_modes(base: list[ModeShape], scen: list[ModeShape]) -> list[dict]:
     return tracked
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubspaceComparison:
     sigmas: np.ndarray
     thetas: np.ndarray  # rad, ascending
@@ -240,7 +235,6 @@ class SubspaceComparison:
     row_bound_rhs: float | None
     row_bound_holds: bool | None
     q: np.ndarray
-    machine_order: list[int]
 
 
 def compare_subspaces(
@@ -308,11 +302,10 @@ def compare_subspaces(
         row_bound_rhs=row_bound_rhs,
         row_bound_holds=row_bound_holds,
         q=q,
-        machine_order=list(base_sub.machine_order),
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpsilonSplit:
     l_internal: np.ndarray
     l_external: np.ndarray
@@ -330,8 +323,9 @@ def epsilon_decompose(lap: LaplacianPair, partition: Partition) -> EpsilonSplit:
     """
     l = lap.l
     n = l.shape[0]
-    area = np.array([partition.assignment[b] for b in lap.machine_order])
-    same = area[:, None] == area[None, :]
+    same = np.zeros((n, n), dtype=bool)
+    for rows in partition.area_rows:
+        same[np.ix_(rows, rows)] = True
     off = ~np.eye(n, dtype=bool)
 
     l_int = np.where(same & off, l, 0.0)
@@ -357,11 +351,7 @@ def epsilon_decompose(lap: LaplacianPair, partition: Partition) -> EpsilonSplit:
 
 def slow_variable(partition: Partition, m_e: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Inertia-weighted mean angle of each area (the aggregate slow
-    coordinate), in area order."""
-    out = np.zeros(len(partition.areas))
-    idx_of = {b: i for i, b in enumerate(partition.machine_order)}
-    for a, buses in enumerate(partition.areas):
-        idx = [idx_of[b] for b in buses]
-        w = m_e[idx]
-        out[a] = float(np.sum(w * delta[idx]) / np.sum(w))
-    return out
+    coordinate), in area order; m_e and delta are in the row order of the
+    slow basis the partition was grouped from."""
+    return np.array([np.sum(m_e[rows] * delta[rows]) / np.sum(m_e[rows])
+                     for rows in partition.area_rows])

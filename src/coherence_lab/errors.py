@@ -7,6 +7,7 @@ triage failures without parsing messages.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -52,7 +53,8 @@ _REQUIRED = object()
 
 def read_field(entry, key: str, cast, where: str, default=_REQUIRED):
     """cast(entry[key]) of one input-file object, or default when the field is
-    absent or null; anything malformed raises ValidationError naming both."""
+    absent or null; anything malformed, a NaN or an infinity among them,
+    raises ValidationError naming both."""
     if not isinstance(entry, dict):
         raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
     if entry.get(key) is None:
@@ -60,9 +62,13 @@ def read_field(entry, key: str, cast, where: str, default=_REQUIRED):
             raise ValidationError(f"{where}: missing field '{key}'")
         return default
     try:
-        return cast(entry[key])
-    except (TypeError, ValueError):
+        value = cast(entry[key])
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise ValidationError(f"{where}: bad value {entry[key]!r} for field '{key}'") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(
+            f"{where}: bad value {entry[key]!r} for field '{key}': numbers must be finite")
+    return value
 
 
 def read_json(path: str | Path, what: str) -> dict:

@@ -248,7 +248,7 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
 # ---------------------------------------------------------------------------
 # analytic Jacobian blocks
 
-@dataclass
+@dataclass(frozen=True)
 class JacobianBlocks:
     """Stacked small-signal blocks of one model; machine rows and columns
     run SG i -> i, GFM j -> n_sg + j.
@@ -266,7 +266,6 @@ class JacobianBlocks:
     """
 
     model: LinearModel
-    machine_order: list[int]
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
@@ -356,7 +355,6 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 
     return JacobianBlocks(
         model=model,
-        machine_order=machines.machine_buses,
         a1=a1,
         a2=a2,
         a3=a3,
@@ -370,7 +368,7 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 # ---------------------------------------------------------------------------
 # reduction to machine coordinates
 
-@dataclass
+@dataclass(frozen=True)
 class LaplacianPair:
     l: np.ndarray
     l_bar: np.ndarray
@@ -423,7 +421,7 @@ def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
         l=l,
         l_bar=l / blocks.m_e[:, None],
         m_e=blocks.m_e.copy(),
-        machine_order=list(blocks.machine_order),
+        machine_order=blocks.model.machines.machine_buses,
         feedthrough_e=feed,
         variant=blocks.model.variant,
     )
@@ -461,16 +459,10 @@ def symmetry_gap(l: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # full state matrix (dispatch variant)
 
-@dataclass
-class StateSpace:
-    a: np.ndarray
-    state_names: list[str]
-    machine_order: list[int]
-    omega_rows: np.ndarray  # indices of frequency states, machine order
-
-
-def state_matrix(blocks: JacobianBlocks) -> StateSpace:
-    """Assemble d/dt [delta, omega, ve, e_f] from the dispatch-model blocks.
+def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
+    """Assemble the state matrix of d/dt [delta, omega, ve, e_f] from the
+    dispatch-model blocks: n_r angle rows, then n_r frequency rows, in the
+    model's machine order (SGs, then GFMs), then n_gfm ve and n_gfm e_f rows.
 
     The algebraic voltages are eliminated through the same solve that
     produces the Laplacian, so the angle block of this matrix is
@@ -523,15 +515,4 @@ def state_matrix(blocks: JacobianBlocks) -> StateSpace:
         a[re, sl_e] += g.kpv * ve_row_e
         a[re, r] += g.kpv * (-1.0 / g.tau) + g.kiv
 
-    names = (
-        [f"delta:{b}" for b in blocks.machine_order]
-        + [f"omega:{b}" for b in blocks.machine_order]
-        + [f"ve:{g.bus}" for g in machines.gfms]
-        + [f"e:{g.bus}" for g in machines.gfms]
-    )
-    return StateSpace(
-        a=a,
-        state_names=names,
-        machine_order=list(blocks.machine_order),
-        omega_rows=np.arange(n_r, 2 * n_r),
-    )
+    return a

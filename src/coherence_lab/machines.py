@@ -86,15 +86,17 @@ def machines_from_dict(raw: dict) -> MachineSet:
     sgs = []
     for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", [])):
         where = f"sgs[{i}]"
-        sgs.append(
-            Sg(
-                bus=read_field(e, "bus", int, where),
-                m=read_field(e, "m", float, where),
-                d=read_field(e, "d", float, where, 0.0),
-                xd_prime=read_field(e, "xd_prime", float, where),
-                p_set=read_field(e, "p_set", float, where),
-            )
+        sg = Sg(
+            bus=read_field(e, "bus", int, where),
+            m=read_field(e, "m", float, where),
+            d=read_field(e, "d", float, where, 0.0),
+            xd_prime=read_field(e, "xd_prime", float, where),
+            p_set=read_field(e, "p_set", float, where),
         )
+        _check(where, [(sg.m > 0, "m must be positive"),
+                       (sg.xd_prime > 0, "xd_prime must be positive"),
+                       (sg.d >= 0, "d must be nonnegative")])
+        sgs.append(sg)
     gfms = [
         gfm_from_dict(e, f"gfms[{i}]")
         for i, e in enumerate(read_field(raw, "gfms", as_list, "machines", []))
@@ -105,6 +107,8 @@ def machines_from_dict(raw: dict) -> MachineSet:
 
 
 def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
+    """One GFM, checked by the same rules wherever it comes from: a fleet
+    file or a scenario replacement."""
     bus = read_field(e, "bus", int, where)
     known = set(GFM_DEFAULTS) | {"v_set", "p_set", "q_set"}
     unknown = set(e) - known - {"bus"}
@@ -112,7 +116,20 @@ def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
         raise ValidationError(f"gfm at bus {bus}: unknown fields {sorted(unknown)}")
     fields = dict(GFM_DEFAULTS)
     fields.update({k: read_field(e, k, float, where) for k in e if k != "bus"})
-    return Gfm(bus=bus, **fields)
+    g = Gfm(bus=bus, **fields)
+    _check(where, [(g.tau > 0, "tau must be positive"),
+                   (g.lambda_p > 0, "lambda_p must be positive"),
+                   (g.lambda_q >= 0, "lambda_q must be nonnegative"),
+                   (g.kpv >= 0 and g.kiv >= 0, "kpv/kiv must be nonnegative"),
+                   (g.v_set > 0, "v_set must be positive")])
+    return g
+
+
+def _check(where: str, rules: list[tuple[bool, str]]) -> None:
+    """Raise ValidationError naming the entry and every rule it breaks."""
+    broken = [rule for ok, rule in rules if not ok]
+    if broken:
+        raise ValidationError(f"{where}: " + "; ".join(broken))
 
 
 def _validate_standalone(ms: MachineSet) -> None:
@@ -121,22 +138,6 @@ def _validate_standalone(ms: MachineSet) -> None:
     dupes = {b for b in buses if buses.count(b) > 1}
     if dupes:
         errors.append(f"more than one machine at bus(es) {sorted(dupes)}")
-    for sg in ms.sgs:
-        if sg.m <= 0:
-            errors.append(f"sg at bus {sg.bus}: m must be positive")
-        if sg.xd_prime <= 0:
-            errors.append(f"sg at bus {sg.bus}: xd_prime must be positive")
-        if sg.d < 0:
-            errors.append(f"sg at bus {sg.bus}: d must be nonnegative")
-    for g in ms.gfms:
-        if g.tau <= 0:
-            errors.append(f"gfm at bus {g.bus}: tau must be positive")
-        if g.lambda_p <= 0:
-            errors.append(f"gfm at bus {g.bus}: lambda_p must be positive")
-        if g.lambda_q < 0:
-            errors.append(f"gfm at bus {g.bus}: lambda_q must be nonnegative")
-        if g.kpv < 0 or g.kiv < 0:
-            errors.append(f"gfm at bus {g.bus}: kpv/kiv must be nonnegative")
     if not buses:
         errors.append("machine set is empty")
     if errors:

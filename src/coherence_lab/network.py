@@ -9,6 +9,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,8 +145,12 @@ def _validate(net: Network) -> None:
             errors.append(f"branch {br.from_bus}-{br.to_bus}: self loop")
         if br.r == 0.0 and br.x == 0.0:
             errors.append(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
+        elif br.x == 0.0:  # the lossless stamp is 1/(jx)
+            errors.append(f"branch {br.from_bus}-{br.to_bus}: x must be nonzero")
         if br.tap <= 0:
             errors.append(f"branch {br.from_bus}-{br.to_bus}: tap must be positive")
+        elif not 0.0 < br.tap * br.tap < math.inf:  # the stamp divides by tap^2
+            errors.append(f"branch {br.from_bus}-{br.to_bus}: tap {br.tap!r} is out of range")
     if errors:
         raise ValidationError("network validation failed: " + "; ".join(errors))
 

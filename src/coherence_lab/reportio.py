@@ -43,21 +43,12 @@ def _gen_table(case: CaseResult) -> list[dict]:
     return rows
 
 
-def _delta_by_slot(case: CaseResult) -> np.ndarray:
-    by_bus: dict[int, float] = {}
-    for i, m in enumerate(case.machines.sgs):
-        by_bus[m.bus] = float(case.op.sg_delta[i])
-    for j, g in enumerate(case.machines.gfms):
-        by_bus[g.bus] = float(case.op.gfm_delta[j])
-    return np.array([by_bus[b] for b in case.slot_buses])
-
-
 def case_to_dict(case: CaseResult) -> dict:
     lap = case.lap
     stats = row_sum_check(lap.l)
     est = np.sqrt(np.abs(case.sub.eigenvalues[1:])) / (2.0 * np.pi)
     eps = epsilon_decompose(lap, case.part)
-    slow = slow_variable(case.part, lap.m_e, _delta_by_slot(case))
+    slow = slow_variable(case.part, lap.m_e, case.delta)
     total_load = float(sum(b.load_p for b in case.net.buses))
     gen = _gen_table(case)
     slack = case.net.slack_id()
@@ -99,7 +90,7 @@ def case_to_dict(case: CaseResult) -> dict:
                 "damping_ratio": m.damping_ratio,
                 "components": [
                     {"bus": b, "mag": float(np.abs(c)), "phase_rad": float(np.angle(c))}
-                    for b, c in zip(m.machine_order, m.components)
+                    for b, c in zip(case.slot_buses, m.components)
                 ],
             }
             for m in case.modes_band
@@ -136,7 +127,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
     if report.comparison is not None:
         c = report.comparison
         out["comparison"] = {
-            "machine_order": list(c.machine_order),
+            "machine_order": list(report.base.slot_buses),
             "sigmas": c.sigmas.tolist(),
             "thetas": c.thetas.tolist(),
             "theta_matrix_norm": c.theta_matrix_norm,

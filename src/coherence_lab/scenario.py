@@ -11,7 +11,6 @@ scenario rows aligned into the slots of the machines they replace.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -78,12 +77,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         retire = read_field(e, "retire_sg_bus", int, where)
         gfm_bus = read_field(e, "gfm_bus", int, where)
         params = e.get("gfm_params", "default")
-        if params != "default" and not isinstance(params, dict):
-            raise ValidationError("gfm_params must be an object or \"default\"")
-        if isinstance(params, dict) and "bus" in params:
-            # the placement checks of apply_scenario read gfm_bus only
-            raise ValidationError(
-                f"{where}.gfm_params: field 'bus' is not allowed; the GFM sits at gfm_bus")
+        _gfm_fields(params, f"{where}.gfm_params")
         reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
     band = raw.get("band_hz", {"lo": 0.3, "hi": 1.0})
     opts_raw = raw.get("options", {})
@@ -113,7 +107,21 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         raise ValidationError("areas_r must be at least 1")
     if spec.band_hz[0] >= spec.band_hz[1]:
         raise ValidationError("band_hz lo must be below hi")
+    if opts.max_iter < 0 or opts.tol <= 0:
+        raise ValidationError("options: max_iter must be nonnegative and tol positive")
     return spec
+
+
+def _gfm_fields(params: dict | str, where: str) -> dict:
+    """The GFM fields a replacement's gfm_params set: none for "default".
+    A code-built Replacement and a scenario file both pass through here."""
+    if params == "default":
+        return {}
+    if not isinstance(params, dict):
+        raise ValidationError(f"{where} must be an object or \"default\"")
+    if "bus" in params:  # the placement checks of apply_scenario read gfm_bus only
+        raise ValidationError(f"{where}: field 'bus' is not allowed; the GFM sits at gfm_bus")
+    return params
 
 
 def apply_scenario(
@@ -160,13 +168,12 @@ def apply_scenario(
         p_solved = base_sol.p_inj[k] + bus.load_p
         q_solved = base_sol.q_inj[k] + bus.load_q
         v_here = float(np.abs(base_sol.v[net.index_of[rep.gfm_bus]]))
-        entry: dict = {"bus": rep.gfm_bus}
-        if isinstance(rep.gfm_params, dict):
-            entry.update(rep.gfm_params)
+        where = f"replacements[{i}].gfm_params"
+        entry = {"bus": rep.gfm_bus, **_gfm_fields(rep.gfm_params, where)}
         entry.setdefault("p_set", round(float(p_solved), 12))
         entry.setdefault("q_set", round(float(q_solved), 12))
         entry.setdefault("v_set", round(v_here, 12))
-        new_gfms.append(gfm_from_dict(entry, f"replacements[{i}].gfm_params"))
+        new_gfms.append(gfm_from_dict(entry, where))
 
     slack = net.slack_id()
     new_buses: list[Bus] = []
@@ -205,8 +212,12 @@ def apply_scenario(
 # ---------------------------------------------------------------------------
 # case analysis
 
-@dataclass
+@dataclass(frozen=True)
 class CaseResult:
+    """One case of a run. The analysis results (lap, sub, part, the modes
+    and delta) index machines by slot: row i is the machine at
+    slot_buses[i]. sol and op keep the network's and the fleet's orders."""
+
     net: Network
     machines: MachineSet
     sol: PowerFlowSolution
@@ -218,18 +229,7 @@ class CaseResult:
     modes_band: list[ModeShape]
     equilibrium_max: float
     slot_buses: list[int]
-
-
-def _permute_lap(lap: LaplacianPair, perm: list[int], slot_buses: list[int]) -> LaplacianPair:
-    p = np.asarray(perm, dtype=int)
-    return LaplacianPair(
-        l=lap.l[np.ix_(p, p)],
-        l_bar=lap.l_bar[np.ix_(p, p)],
-        m_e=lap.m_e[p],
-        machine_order=list(slot_buses),
-        feedthrough_e=lap.feedthrough_e[p, :],
-        variant=lap.variant,
-    )
+    delta: np.ndarray  # machine rotor or GFM angles, rad
 
 
 def _analyze_case(
@@ -240,30 +240,32 @@ def _analyze_case(
 ) -> CaseResult:
     """Power flow through modal analysis for one machine fleet.
 
-    slot_buses lists the machine bus of each slot; rows of every
-    machine-indexed product are permuted into that slot order so cases
-    remain comparable."""
+    The linearization orders machines SGs first, then GFMs; this is the
+    one place that maps that order onto slot_buses, by exact indexing, so
+    cases stay comparable slot by slot."""
     sol = solve_power_flow(net, machines, spec.options)
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op, lossless=False)
     eq = check_equilibrium(dispatch)
     reactive = build_linear_model(net, machines, op, lossless=True)
-    lap = kron_reduce(build_jacobians(reactive))
 
-    row_of = {b: i for i, b in enumerate(lap.machine_order)}
-    perm = [row_of[b] for b in slot_buses]
-    lap = _permute_lap(lap, perm, slot_buses)
-
+    row_of = {b: i for i, b in enumerate(machines.machine_buses)}
+    perm = np.array([row_of[b] for b in slot_buses], dtype=int)
+    native = kron_reduce(build_jacobians(reactive))
+    lap = dc_replace(
+        native,
+        l=native.l[np.ix_(perm, perm)],
+        l_bar=native.l_bar[np.ix_(perm, perm)],
+        m_e=native.m_e[perm],
+        machine_order=list(slot_buses),
+        feedthrough_e=native.feedthrough_e[perm, :],
+    )
     sub = slow_eigensolve(lap, spec.areas_r)
-    part = group_machines(sub)
-
-    sys_full = state_matrix(build_jacobians(dispatch))
-    modes_all = mode_shapes(sys_full)
-    for m in modes_all:  # the state matrix rows follow the reduction's order
-        m.components = m.components[perm]
-        m.machine_order = list(slot_buses)
+    modes_all = [
+        dc_replace(m, components=m.components[perm])
+        for m in mode_shapes(state_matrix(build_jacobians(dispatch)), perm.size)
+    ]
     lo, hi = spec.band_hz
-    modes_band = [m for m in modes_all if lo <= m.freq_hz <= hi]
 
     return CaseResult(
         net=net,
@@ -272,15 +274,16 @@ def _analyze_case(
         op=op,
         lap=lap,
         sub=sub,
-        part=part,
+        part=group_machines(sub),
         modes_all=modes_all,
-        modes_band=modes_band,
+        modes_band=[m for m in modes_all if lo <= m.freq_hz <= hi],
         equilibrium_max=eq.max_residual,
         slot_buses=slot_buses,
+        delta=np.concatenate([op.sg_delta, op.gfm_delta])[perm],
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioReport:
     spec: ScenarioSpec
     base: CaseResult
@@ -291,20 +294,16 @@ class ScenarioReport:
     warnings: list[str]
 
 
-def _flipped_machines(base: Partition, scen: Partition) -> list[int]:
-    """Base buses of the slots whose area changed. Each scenario area is
-    matched to the base area it shares the most slots with, the lowest
-    index on a tie; both partitions are in slot order."""
-    base_area = [base.assignment[b] for b in base.machine_order]
-    scen_area = [scen.assignment[b] for b in scen.machine_order]
-    overlap = Counter(zip(scen_area, base_area))
-    match = {
-        a: max(range(len(base.areas)), key=lambda ab: (overlap[a, ab], -ab))
-        for a in range(len(scen.areas))
-    }
-    return [
-        b for b, sa, ba in zip(base.machine_order, scen_area, base_area) if match[sa] != ba
-    ]
+def _flipped_machines(base: Partition, scen: Partition, slot_buses: list[int]) -> list[int]:
+    """Base buses of the slots whose area changed, in slot order. Each
+    scenario area is matched to the base area it shares the most slots
+    with, the lowest index on a tie; both partitions are in slot order."""
+    base_rows = [set(rows) for rows in base.area_rows]
+    flipped: set[int] = set()
+    for rows in map(set, scen.area_rows):
+        shared = [len(rows & b) for b in base_rows]
+        flipped |= rows - base_rows[shared.index(max(shared))]
+    return [slot_buses[i] for i in sorted(flipped)]
 
 
 def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> ScenarioReport:
@@ -330,7 +329,7 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
 
     comparison = compare_subspaces(base.lap, base.sub, scen.lap, scen.sub)
     mode_track = track_modes(base.modes_band, scen.modes_all)
-    flipped = _flipped_machines(base.part, scen.part)
+    flipped = _flipped_machines(base.part, scen.part, base.slot_buses)
 
     return ScenarioReport(
         spec=spec,

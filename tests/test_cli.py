@@ -1,13 +1,18 @@
 """End-to-end CLI behavior and the exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coherence_lab
 from coherence_lab.cli import main
@@ -18,6 +23,7 @@ from coherence_lab.errors import (
     PipelineError,
     ValidationError,
 )
+from coherence_lab.machines import GFM_DEFAULTS
 
 from conftest import DATA, two_bus_dicts
 
@@ -258,6 +264,12 @@ def test_unsafe_scenario_name_is_validation_error(tmp_path, capsys, name):
     ("scenario", '{"name": "x", "replacements": 5, "areas_r": 2}',
      "field 'replacements'"),
     ("scenario", b"\xff\xfe", "is not valid JSON"),
+    ("machines", '{"sgs": [{"bus": 65, "m": NaN, "xd_prime": 0.01, "p_set": 5}]}',
+     "sgs[0]: bad value nan for field 'm': numbers must be finite"),
+    ("machines", '{"sgs": [{"bus": 65, "m": 0.2, "d": Infinity, "xd_prime": 0.01, "p_set": 5}]}',
+     "sgs[0]: bad value inf for field 'd'"),
+    ("network", '{"base_mva": 100, "f0_hz": NaN, "buses": [], "branches": []}',
+     "network: bad value nan for field 'f0_hz'"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, which, content, fragment):
     files = {
@@ -277,6 +289,67 @@ def test_malformed_input_file_is_validation_error(tmp_path, capsys, which, conte
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and fragment in err
+
+
+INPUTS = {
+    "network": json.loads((DATA / "network.json").read_text()),
+    "machines": json.loads((DATA / "machines.json").read_text()),
+    "scenario": json.loads((DATA / "scenario2.json").read_text()),
+}
+
+
+def numeric_paths(doc, path=()):
+    """Paths to every number in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from numeric_paths(v, path + (k,))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield path + (k,)
+
+
+MUTABLE = {name: list(numeric_paths(doc)) for name, doc in INPUTS.items()}
+MUTABLE["scenario"] += [
+    ("replacements", i, "gfm_params", k)
+    for i in range(len(INPUTS["scenario"]["replacements"]))
+    for k in [*GFM_DEFAULTS, "v_set", "p_set", "q_set"]
+]
+EXIT_CODES = {e.exit_code for e in (
+    CoherenceLabError, ValidationError, ConvergenceError, PipelineError, InputOutputError)}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_mutated_input_exits_with_typed_error(data):
+    """One numeric field of the bundled inputs, gfm_params included, set to
+    an extreme: run returns 0 or a CoherenceLabError's exit code and lets
+    nothing else escape. A run may warn on its way to a typed error (1e300
+    overflows the power flow before it reports divergence), but a run
+    that returns 0 warns of nothing."""
+    name = data.draw(st.sampled_from(sorted(INPUTS)), label="file")
+    path = data.draw(st.sampled_from(MUTABLE[name]), label="field")
+    value = data.draw(st.sampled_from([0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300]),
+                      label="value")
+    docs = json.loads(json.dumps(INPUTS))
+    entry = docs[name]
+    for key in path[:-1]:
+        if entry[key] == "default":  # gfm_params
+            entry[key] = {}
+        entry = entry[key]
+    entry[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for which, doc in docs.items():
+            files[which] = Path(tmp) / f"{which}.json"
+            files[which].write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            rc = run_cli([
+                "run", "--network", files["network"], "--machines", files["machines"],
+                "--scenario", files["scenario"], "--out", Path(tmp) / "o", "--emit", "json",
+            ])
+    assert rc in {0} | EXIT_CODES
+    assert rc != 0 or not caught, [str(w.message) for w in caught]
 
 
 def emitted_base_report(tmp_path) -> Path:

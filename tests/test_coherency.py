@@ -5,6 +5,7 @@ applied straight to M^{-1} L, which shares no code path with the
 symmetric-similarity route used by the library.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_eigensolver_rejects_asymmetric_input():
     w = rng.uniform(0.5, 1.0, (4, 4))
     m = np.ones(4)
     lap = lap_from_weights(0.5 * (w + w.T), m)
-    lap.l = lap.l.copy()
+    lap = dataclasses.replace(lap, l=lap.l.copy())
     lap.l[0, 1] *= 1.5  # break symmetry hard
     with pytest.raises(PipelineError):
         cl.slow_eigensolve(lap, 2)
@@ -277,7 +278,6 @@ def test_track_modes_follows_correlation():
         damping_ratio=0.0,
         eigenvalue=complex(0.0, 2 * np.pi * f),
         components=np.asarray(comp, dtype=complex),
-        machine_order=[1, 2],
     )
     base = [mk(0.5, [1.0, -1.0]), mk(0.9, [1.0, 1.0])]
     scen = [mk(1.3, [0.9, -1.1]), mk(0.88, [1.0, 0.95])]
@@ -321,7 +321,7 @@ def random_modes(rng, count, n_r, zero=()):
             comp[:] = 0.0
         modes.append(cl.ModeShape(
             freq_hz=float(rng.uniform(0.1, 3.0)), damping_ratio=0.05,
-            eigenvalue=0j, components=comp, machine_order=list(range(n_r)),
+            eigenvalue=0j, components=comp,
         ))
     return modes
 

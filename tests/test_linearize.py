@@ -231,14 +231,12 @@ def test_near_singular_reduction_warns(reactive_blocks68, row, scale):
 def test_state_matrix_angle_block_is_scaled_laplacian(net68, ms68):
     _, op = solve_and_init(net68, ms68)
     blocks = cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=False))
-    sys = cl.state_matrix(blocks)
+    a = cl.state_matrix(blocks)
     lap = cl.kron_reduce(blocks)
     n_r = len(lap.machine_order)
-    names = sys.state_names
-    d_rows = [i for i, s in enumerate(names) if s.startswith("delta")]
-    w_rows = list(sys.omega_rows)
-    assert len(d_rows) == n_r and len(w_rows) == n_r
-    assert np.allclose(sys.a[np.ix_(w_rows, d_rows)], lap.l_bar, atol=1e-10)
+    # angle rows first, then frequency rows, each in the model's machine order
+    assert a.shape == (2 * n_r + 2 * len(ms68.gfms),) * 2
+    assert np.allclose(a[n_r : 2 * n_r, :n_r], lap.l_bar, atol=1e-10)
 
 
 def test_state_matrix_two_machine_frequency():
@@ -248,8 +246,7 @@ def test_state_matrix_two_machine_frequency():
     net, ms = build_small_system(5, n_m=2)
     _, op = solve_and_init(net, ms)
     blocks = cl.build_jacobians(build_linear_model(net, ms, op, lossless=False))
-    sys = cl.state_matrix(blocks)
-    modes = cl.mode_shapes(sys)
+    modes = cl.mode_shapes(cl.state_matrix(blocks), 2)
     assert len(modes) == 1
     lap = cl.kron_reduce(blocks)
     want = np.sqrt(np.max(np.abs(np.linalg.eigvals(lap.l_bar)))) / (2 * np.pi)
@@ -261,8 +258,8 @@ def test_state_matrix_two_machine_frequency():
 
 def test_state_matrix_is_stable(case_base):
     model = build_linear_model(case_base.net, case_base.machines, case_base.op, lossless=False)
-    sys = cl.state_matrix(cl.build_jacobians(model))
-    assert np.max(np.linalg.eigvals(sys.a).real) < 1e-6
+    a = cl.state_matrix(cl.build_jacobians(model))
+    assert np.max(np.linalg.eigvals(a).real) < 1e-6
 
 
 def test_feedthrough_zero_without_gfms(case_base):

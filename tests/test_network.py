@@ -131,6 +131,14 @@ def test_connectivity_split_network():
      "self loop"),
     (lambda d: d["branches"].append({"from": 1, "to": 2, "r": 0.0, "x": 0.0}),
      "zero impedance"),
+    (lambda d: d["branches"].append({"from": 1, "to": 2, "r": 0.1, "x": 0.0}),
+     "branch 1-2: x must be nonzero"),
+    (lambda d: d["branches"][0].update(tap=1e300), r"branch 1-2: tap 1e\+300 is out of range"),
+    (lambda d: d["branches"][0].update(tap=1e-300), "branch 1-2: tap 1e-300 is out of range"),
+    (lambda d: d["buses"][1].update(load_p=float("nan")),
+     r"buses\[1\]: bad value nan for field 'load_p': numbers must be finite"),
+    (lambda d: d["branches"][0].update(to=float("inf")),
+     r"branches\[0\]: bad value inf for field 'to'"),
     (lambda d: d["buses"][0].pop("v_setpoint"), "requires v_setpoint"),
     (lambda d: d["buses"][0].update(kind="pq"), "exactly one slack"),
     (lambda d: d["branches"][0].pop("from"), r"branches\[0\]: missing field 'from'"),

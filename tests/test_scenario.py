@@ -85,6 +85,10 @@ def test_scenario_parsing_roundtrip():
     ({"name": "x", "areas_r": 2,
       "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"bus": 30}}]},
      r"replacements\[0\]\.gfm_params: field 'bus' is not allowed"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"max_iter": -1}},
+     "max_iter must be nonnegative"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": {"lo": float("nan"), "hi": 1}},
+     "band_hz: bad value nan for field 'lo': numbers must be finite"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -166,6 +170,16 @@ def test_gfm_param_overrides(net68, ms68, sol68):
     ([Replacement(65, 66)], "already has a machine"),
     ([Replacement(65, 37, gfm_params={"tau": "slow"})],
      r"replacements\[0\]\.gfm_params: bad value 'slow' for field 'tau'"),
+    ([Replacement(65, 37, gfm_params={"lambda_p": 0})],
+     r"replacements\[0\]\.gfm_params: lambda_p must be positive"),
+    ([Replacement(65, 37, gfm_params={"lambda_p": -1})],
+     r"replacements\[0\]\.gfm_params: lambda_p must be positive"),
+    ([Replacement(65, 37), Replacement(64, 36, gfm_params={"tau": -1})],
+     r"replacements\[1\]\.gfm_params: tau must be positive"),
+    ([Replacement(65, 37, gfm_params={"tau": float("inf")})],
+     r"replacements\[0\]\.gfm_params: bad value inf for field 'tau'"),
+    ([Replacement(65, 37, gfm_params={"bus": 53})],
+     r"replacements\[0\]\.gfm_params: field 'bus' is not allowed"),
 ])
 def test_apply_scenario_rejects(net68, ms68, sol68, reps, fragment):
     spec = ScenarioSpec(name="bad", replacements=reps, areas_r=5)
@@ -243,6 +257,22 @@ def test_scenario_slot_alignment(report_s1):
     want[slot] = 37
     assert scen_order == want
     assert report_s1.scenario.slot_buses == want
+
+
+def test_case_angles_follow_slots(report_s2):
+    case = report_s2.scenario
+    native = np.concatenate([case.op.sg_delta, case.op.gfm_delta])
+    by_bus = dict(zip(case.machines.machine_buses, native))
+    assert case.delta.tolist() == [by_bus[b] for b in case.slot_buses]
+
+
+def test_case_records_are_frozen(report_s1):
+    case = report_s1.scenario
+    for record, name in [(report_s1, "base"), (case, "slot_buses"), (case.lap, "l"),
+                         (case.sub, "w_r"), (case.part, "areas"),
+                         (case.modes_all[0], "components"), (report_s1.comparison, "q")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
 
 
 def test_scenario_masses_change_only_in_slot(report_s1):
