@@ -77,15 +77,11 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
             "(machine graph may be disconnected)"
         )
     # deterministic sign: largest-magnitude entry of each column positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(z[:, j])))
-        if z[k, j] < 0:
-            z[:, j] = -z[:, j]
+    flip = z[np.argmax(np.abs(z), axis=0), np.arange(n)] < 0
+    z[:, flip] = -z[:, flip]
     w = z * (1.0 / np.sqrt(lap.m_e))[:, None]  # W = M_e^{-1/2} Z
-    gaps: list[float | None] = []
-    for i in range(n - 1):
-        denom = abs(vals[i])
-        gaps.append(float(abs(vals[i + 1]) / denom) if denom > 1e-300 else None)
+    mag = np.abs(vals)
+    gaps = [float(hi / lo) if lo > 1e-300 else None for lo, hi in zip(mag[:-1], mag[1:])]
     return SlowSubspace(
         eigenvalues=vals,
         w_full=w,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Integral
 from pathlib import Path
 
 
@@ -84,6 +85,16 @@ def read_json(path: str | Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} {path}: expected an object, got {type(raw).__name__}")
     return raw
+
+
+def as_int(value) -> int:
+    """The cast for read_field of an integer field: an integer, or a float
+    with no fractional part; a bool, a string or 2.9 is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def as_list(value) -> list:

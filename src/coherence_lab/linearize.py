@@ -78,8 +78,8 @@ def build_linear_model(
     lossless: bool,
 ) -> LinearModel:
     """Fold loads into the admittance matrix and pick the evaluation point."""
-    sg_idx = np.array([net.index_of[m.bus] for m in machines.sgs], dtype=int)
-    gfm_idx = np.array([net.index_of[m.bus] for m in machines.gfms], dtype=int)
+    rows = net.rows(machines.machine_buses)
+    sg_idx, gfm_idx = np.split(rows, [len(machines.sgs)])
     sg_gp = np.array([1.0 / m.xd_prime for m in machines.sgs])
 
     y = build_admittance(net, lossless=lossless)
@@ -113,19 +113,15 @@ def _anchor_voltages(
     """Solve the linear current balance of the susceptance network given the
     machine internal sources, so the evaluation point sits exactly on the
     reduced model's manifold."""
-    n = y_model.shape[0]
     a = y_model.copy()
-    rhs = np.zeros(n, dtype=complex)
-    u_sg = op.sg_e * np.exp(1j * op.sg_delta)
-    for i, k in enumerate(sg_idx):
-        yg = -1j * sg_gp[i]
-        a[k, k] += yg
-        rhs[k] += yg * u_sg[i]
-    u_gfm = op.gfm_e * np.exp(1j * op.gfm_delta)
-    for j, k in enumerate(gfm_idx):
-        a[k, :] = 0.0
-        a[k, k] = 1.0
-        rhs[k] = u_gfm[j]
+    rhs = np.zeros(y_model.shape[0], dtype=complex)
+    u = op.e * np.exp(1j * op.delta)
+    yg = -1j * sg_gp
+    a[sg_idx, sg_idx] += yg
+    rhs[sg_idx] += yg * u[: sg_idx.size]
+    a[gfm_idx, :] = 0.0
+    a[gfm_idx, gfm_idx] = 1.0
+    rhs[gfm_idx] = u[sg_idx.size :]
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
@@ -136,58 +132,45 @@ def _anchor_voltages(
 # residuals (shared by equilibrium checks and finite-difference tests)
 
 def algebraic_residual(
-    model: LinearModel,
-    sg_delta: np.ndarray,
-    gfm_delta: np.ndarray,
-    gfm_e: np.ndarray,
-    v_rect: np.ndarray,
+    model: LinearModel, delta: np.ndarray, gfm_e: np.ndarray, v_rect: np.ndarray
 ) -> np.ndarray:
-    """Stacked [P rows; Q rows]; GFM buses carry constraint rows instead."""
-    n = model.n_bus
+    """Stacked [P rows; Q rows]; GFM buses carry constraint rows instead.
+    delta holds every machine angle in fleet order."""
+    n, n_sg, sg, gfm = model.n_bus, model.n_sg, model.sg_idx, model.gfm_idx
     v = v_rect[:n] + 1j * v_rect[n:]
     i_mach = np.zeros(n, dtype=complex)
-    u_sg = model.op.sg_e * np.exp(1j * sg_delta)
-    for i, k in enumerate(model.sg_idx):
-        i_mach[k] += -1j * model.sg_gp[i] * (u_sg[i] - v[k])
+    u_sg = model.op.e[:n_sg] * np.exp(1j * delta[:n_sg])
+    i_mach[sg] += -1j * model.sg_gp * (u_sg - v[sg])
     s = v * np.conj(i_mach - model.y_model @ v)
-    res_p = s.real
-    res_q = s.imag
-    for j, k in enumerate(model.gfm_idx):
-        res_p[k] = v[k].real - gfm_e[j] * np.cos(gfm_delta[j])
-        res_q[k] = v[k].imag - gfm_e[j] * np.sin(gfm_delta[j])
+    res_p, res_q = s.real, s.imag
+    res_p[gfm] = v[gfm].real - gfm_e * np.cos(delta[n_sg:])
+    res_q[gfm] = v[gfm].imag - gfm_e * np.sin(delta[n_sg:])
     return np.concatenate([res_p, res_q])
 
 
 def frequency_residual(
-    model: LinearModel,
-    sg_delta: np.ndarray,
-    gfm_delta: np.ndarray,
-    gfm_e: np.ndarray,
-    v_rect: np.ndarray,
+    model: LinearModel, delta: np.ndarray, gfm_e: np.ndarray, v_rect: np.ndarray
 ) -> np.ndarray:
     """Power imbalance driving each machine's frequency state, at nominal
-    frequency. SG rows feel the air-gap power, GFM rows the terminal
-    injection measured into the network model."""
-    n = model.n_bus
+    frequency, in fleet order. SG rows feel the air-gap power, GFM rows the
+    terminal injection measured into the network model; neither depends on
+    gfm_e, which is taken only to share the signature of algebraic_residual."""
+    n, n_sg = model.n_bus, model.n_sg
     v = v_rect[:n] + 1j * v_rect[n:]
-    out = np.zeros(model.n_sg + model.n_gfm)
-    vk = v[model.sg_idx]
-    op = model.op
-    p_gap = model.sg_gp * op.sg_e * (
-        vk.real * np.sin(sg_delta) - vk.imag * np.cos(sg_delta)
+    vk, d_sg = v[model.sg_idx], delta[:n_sg]
+    p_out = np.zeros(n_sg + model.n_gfm)
+    p_out[:n_sg] = model.sg_gp * model.op.e[:n_sg] * (
+        vk.real * np.sin(d_sg) - vk.imag * np.cos(d_sg)
     )
-    out[: model.n_sg] = op.sg_p_eff - p_gap
     if model.n_gfm:
-        i_net = model.y_model @ v
-        p_term = (v * np.conj(i_net)).real[model.gfm_idx]
-        out[model.n_sg :] = op.gfm_p_eff - p_term
-    return out
+        p_out[n_sg:] = (v * np.conj(model.y_model @ v)).real[model.gfm_idx]
+    return model.op.p_eff - p_out
 
 
-def point_state(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def point_state(model: LinearModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta, gfm_e, v_rect) at the model's evaluation point."""
     v_rect = np.concatenate([model.v_point.real, model.v_point.imag])
-    op = model.op
-    return op.sg_delta.copy(), op.gfm_delta.copy(), op.gfm_e.copy(), v_rect
+    return model.op.delta.copy(), model.op.e[model.n_sg :].copy(), v_rect
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +188,9 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     solution, any Jacobian taken there is meaningless, and PipelineError
     is raised."""
     net, machines, op, n = model.net, model.machines, model.op, model.n_bus
-    ds, df, ef, v_rect = point_state(model)
-    freq = frequency_residual(model, ds, df, ef, v_rect)
-    alg = algebraic_residual(model, ds, df, ef, v_rect)
+    delta, gfm_e, v_rect = point_state(model)
+    freq = frequency_residual(model, delta, gfm_e, v_rect)
+    alg = algebraic_residual(model, delta, gfm_e, v_rect)
 
     fam: dict[str, float] = {}
     # angle equations are omega - omega0 = 0 exactly at init
@@ -217,18 +200,15 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     fam["sg_omega"] = float(np.max(np.abs(freq[: model.n_sg] / sg_m))) if model.n_sg else 0.0
 
     if model.n_gfm:
-        taus = np.array([g.tau for g in machines.gfms])
+        taus, lam_q, q_set, kpv, kiv = machines.gfm_arrays("tau", "lambda_q", "q_set",
+                                                           "kpv", "kiv")
         lam_int = np.array([g.lambda_p_internal(net.omega0) for g in machines.gfms])
         fam["gfm_omega"] = float(np.max(np.abs(lam_int * freq[model.n_sg :] / taus)))
         # voltage loop: vs_eff was constructed to zero this at the point
         v = v_rect[:n] + 1j * v_rect[n:]
         q_term = (v * np.conj(model.y_model @ v)).imag[model.gfm_idx]
-        lam_q = np.array([g.lambda_q for g in machines.gfms])
-        q_set = np.array([g.q_set for g in machines.gfms])
         ve_dot = (op.gfm_vs_eff - op.gfm_ve - np.abs(v[model.gfm_idx])
                   + lam_q * (q_set - q_term)) / taus
-        kpv = np.array([g.kpv for g in machines.gfms])
-        kiv = np.array([g.kiv for g in machines.gfms])
         fam["gfm_ve"] = float(np.max(np.abs(ve_dot)))
         fam["gfm_e"] = float(np.max(np.abs(kpv * ve_dot + kiv * op.gfm_ve)))
     else:
@@ -315,8 +295,8 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     a2 = np.zeros((n_r, 2 * n))
     a3 = np.zeros((2 * n, n_r))
     sg, i_sg = model.sg_idx, np.arange(n_sg)
-    gp, e = model.sg_gp, op.sg_e
-    sd, cd = np.sin(op.sg_delta), np.cos(op.sg_delta)
+    gp, e = model.sg_gp, op.e[:n_sg]
+    sd, cd = np.sin(op.delta[:n_sg]), np.cos(op.delta[:n_sg])
     p, q = model.v_point.real[sg], model.v_point.imag[sg]
     # air-gap power P = gp*e*(p sin - q cos) drives the SG frequency row
     dpg_dd = gp * e * (p * cd + q * sd)
@@ -331,22 +311,26 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     a3[sg, i_sg] = dpg_dd
     a3[n + sg, i_sg] = gp * e * (q * cd - p * sd)
 
-    a34 = np.zeros((2 * n, n_gfm))
+    gfm, j_gfm = model.gfm_idx, np.arange(n_gfm)
+    e = op.e[n_sg:]
+    sd, cd = np.sin(op.delta[n_sg:]), np.cos(op.delta[n_sg:])
+    # the network rows of each GFM bus: P feeds its frequency row, Q its
+    # voltage loop; j_of maps a P or Q row to its GFM, -1 off GFM buses
+    j_of = np.full(2 * n, -1)
+    j_of[gfm], j_of[n + gfm] = j_gfm, j_gfm
+    j_row = j_of[rows]
+    p_on, q_on = (j_row >= 0) & (rows < n), (j_row >= 0) & (rows >= n)
+    a2[n_sg + j_row[p_on], cols[p_on]] = -d_pq[p_on]
     q_rows = np.zeros((n_gfm, 2 * n))
-    for j, k in enumerate(model.gfm_idx):
-        r = n_sg + j
-        e = op.gfm_e[j]
-        sd, cd = np.sin(op.gfm_delta[j]), np.cos(op.gfm_delta[j])
-        p_row, q_row = rows == k, rows == n + k
-        a2[r, cols[p_row]] = -d_pq[p_row]
-        q_rows[j, cols[q_row]] = d_pq[q_row]
-        # constraint rows V - E exp(j delta) replace the bus balance
-        a33[[k, n + k], :] = 0.0
-        a33[[k, n + k], [k, n + k]] = 1.0
-        a3[k, r] = e * sd
-        a3[n + k, r] = -e * cd
-        a34[k, j] = -cd
-        a34[n + k, j] = -sd
+    q_rows[j_row[q_on], cols[q_on]] = d_pq[q_on]
+    # constraint rows V - E exp(j delta) replace the bus balance
+    a33[gfm, :] = a33[n + gfm, :] = 0.0
+    a33[gfm, gfm] = a33[n + gfm, n + gfm] = 1.0
+    a3[gfm, n_sg + j_gfm] = e * sd
+    a3[n + gfm, n_sg + j_gfm] = -e * cd
+    a34 = np.zeros((2 * n, n_gfm))
+    a34[gfm, j_gfm] = -cd
+    a34[n + gfm, j_gfm] = -sd
 
     omega0 = model.net.omega0
     m_e = np.array(
@@ -487,32 +471,30 @@ def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
     a[sl_d, sl_w] = np.eye(n_r)
     a[sl_w, sl_d] = l / blocks.m_e[:, None]
     a[sl_w, sl_e] = feed / blocks.m_e[:, None]
-    w_damp = np.zeros(n_r)
-    for i, m in enumerate(machines.sgs):
-        w_damp[i] = -m.d_internal(omega0) / m.m
-    for j, g in enumerate(machines.gfms):
-        w_damp[n_sg + j] = -1.0 / g.tau
-    a[sl_w, sl_w] = np.diag(w_damp)
+    tau, lam_q, kpv, kiv = machines.gfm_arrays("tau", "lambda_q", "kpv", "kiv")
+    a[sl_w, sl_w] = np.diag(
+        [-m.d_internal(omega0) / m.m for m in machines.sgs] + [-1.0 / t for t in tau])
 
-    v = model.v_point
-    for j, g in enumerate(machines.gfms):
-        k = model.gfm_idx[j]
-        vm = np.abs(v[k])
-        h_vm = np.zeros(2 * n)
-        h_vm[k] = v[k].real / vm
-        h_vm[n + k] = v[k].imag / vm
-        # d(ve)/dt falls with |V| and Q, and dV/d(delta, E) = -X: the
-        # two signs cancel
-        row_v = (h_vm + g.lambda_q * blocks.q_rows[j]) / g.tau
-        ve_row_d = row_v @ x3
-        ve_row_e = row_v @ x4
-        r = 2 * n_r + j
-        a[r, sl_d] = ve_row_d
-        a[r, sl_e] += ve_row_e
-        a[r, r] += -1.0 / g.tau
-        re = 2 * n_r + n_gfm + j
-        a[re, sl_d] = g.kpv * ve_row_d
-        a[re, sl_e] += g.kpv * ve_row_e
-        a[re, r] += g.kpv * (-1.0 / g.tau) + g.kiv
+    gfm, j = model.gfm_idx, np.arange(n_gfm)
+    v = model.v_point[gfm]
+    vm = np.abs(v)
+    h_vm = np.zeros((n_gfm, 2 * n))
+    h_vm[j, gfm] = v.real / vm
+    h_vm[j, n + gfm] = v.imag / vm
+    # d(ve)/dt falls with |V| and Q, and dV/d(delta, E) = -X: the two
+    # signs cancel
+    rows_v = (h_vm + lam_q[:, None] * blocks.q_rows) / tau[:, None]
+    # one vector-matrix product per row: a stacked rows_v @ x3 sums in
+    # another order and moves the last bits of the state matrix
+    ve_d, ve_e = np.zeros((n_gfm, n_r)), np.zeros((n_gfm, n_gfm))
+    for i, row in enumerate(rows_v):
+        ve_d[i], ve_e[i] = row @ x3, row @ x4
+    r_v, r_e = 2 * n_r + j, 2 * n_r + n_gfm + j
+    a[r_v, sl_d] = ve_d
+    a[r_v, sl_e] += ve_e
+    a[r_v, r_v] += -1.0 / tau
+    a[r_e, sl_d] = kpv[:, None] * ve_d
+    a[r_e, sl_e] += kpv[:, None] * ve_e
+    a[r_e, r_v] += kpv * (-1.0 / tau) + kiv
 
     return a

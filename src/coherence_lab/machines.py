@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, as_list, read_field, read_json
+import numpy as np
+
+from .errors import ValidationError, as_int, as_list, read_field, read_json
 from .network import Network
 
 GFM_DEFAULTS = {
@@ -68,8 +70,17 @@ class MachineSet:
     gfms: list[Gfm]
 
     @property
+    def fleet(self) -> list[Sg | Gfm]:
+        """Every machine in fleet order: SGs, then GFMs."""
+        return [*self.sgs, *self.gfms]
+
+    @property
     def machine_buses(self) -> list[int]:
-        return [m.bus for m in self.sgs] + [m.bus for m in self.gfms]
+        return [m.bus for m in self.fleet]
+
+    def gfm_arrays(self, *fields: str) -> list[np.ndarray]:
+        """One array per named GFM parameter, in fleet order."""
+        return [np.array([getattr(g, f) for g in self.gfms]) for f in fields]
 
     def sg_at(self, bus: int) -> Sg | None:
         for m in self.sgs:
@@ -87,7 +98,7 @@ def machines_from_dict(raw: dict) -> MachineSet:
     for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", [])):
         where = f"sgs[{i}]"
         sg = Sg(
-            bus=read_field(e, "bus", int, where),
+            bus=read_field(e, "bus", as_int, where),
             m=read_field(e, "m", float, where),
             d=read_field(e, "d", float, where, 0.0),
             xd_prime=read_field(e, "xd_prime", float, where),
@@ -109,7 +120,7 @@ def machines_from_dict(raw: dict) -> MachineSet:
 def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
     """One GFM, checked by the same rules wherever it comes from: a fleet
     file or a scenario replacement."""
-    bus = read_field(e, "bus", int, where)
+    bus = read_field(e, "bus", as_int, where)
     known = set(GFM_DEFAULTS) | {"v_set", "p_set", "q_set"}
     unknown = set(e) - known - {"bus"}
     if unknown:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_list, read_field, read_json
+from .errors import ValidationError, as_int, as_list, read_field, read_json
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -60,6 +60,10 @@ class Network:
     def omega0(self) -> float:
         return 2.0 * np.pi * self.f0_hz
 
+    def rows(self, bus_ids: list[int]) -> np.ndarray:
+        """The position of each bus id in file order."""
+        return np.array([self.index_of[b] for b in bus_ids], dtype=int)
+
     def bus(self, bus_id: int) -> Bus:
         try:
             return self.buses[self.index_of[bus_id]]
@@ -82,7 +86,7 @@ def network_from_dict(raw: dict) -> Network:
     buses = []
     for i, entry in enumerate(read_field(raw, "buses", as_list, "network")):
         where = f"buses[{i}]"
-        bus_id = read_field(entry, "id", int, where)
+        bus_id = read_field(entry, "id", as_int, where)
         kind = entry.get("kind")
         if kind not in BUS_KINDS:
             raise ValidationError(f"bus {bus_id}: bad kind {kind!r}")
@@ -102,8 +106,8 @@ def network_from_dict(raw: dict) -> Network:
         where = f"branches[{i}]"
         branches.append(
             Branch(
-                from_bus=read_field(e, "from", int, where),
-                to_bus=read_field(e, "to", int, where),
+                from_bus=read_field(e, "from", as_int, where),
+                to_bus=read_field(e, "to", as_int, where),
                 r=read_field(e, "r", float, where),
                 x=read_field(e, "x", float, where),
                 b_charging=read_field(e, "b_charging", float, where, 0.0),

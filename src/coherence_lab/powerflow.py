@@ -40,10 +40,7 @@ def _scheduled_injections(net: Network, machines: MachineSet) -> tuple[np.ndarra
     """Specified net P (gen minus load) and Q load per bus."""
     p = np.array([-b.load_p for b in net.buses])
     q = np.array([-b.load_q for b in net.buses])
-    for m in machines.sgs:
-        p[net.index_of[m.bus]] += m.p_set
-    for m in machines.gfms:
-        p[net.index_of[m.bus]] += m.p_set
+    np.add.at(p, net.rows(machines.machine_buses), [m.p_set for m in machines.fleet])
     return p, q
 
 
@@ -83,8 +80,8 @@ def solve_power_flow(
     opts: PowerFlowOptions | None = None,
 ) -> PowerFlowSolution:
     """Full Newton power flow from a flat start. Raises ConvergenceError
-    with the residual history when the iteration stalls or the Jacobian
-    goes singular."""
+    with the residual history when the iteration stalls, overflows or
+    meets an invalid operation, or its Jacobian goes singular."""
     opts = opts or PowerFlowOptions()
     validate_against_network(machines, net)
     comps = connectivity_check(net)
@@ -110,36 +107,42 @@ def solve_power_flow(
     newton_jac = _newton_jacobian(ybus, pvpq, pq)
 
     history: list[float] = []
-    for it in range(opts.max_iter + 1):
-        v = vm * np.exp(1j * va)
-        ibus = ybus @ v
-        s_calc = v * np.conj(ibus)
-        mis = s_calc - s_spec
-        g = np.concatenate([mis.real[pvpq], mis.imag[pq]])
-        max_mis = float(np.max(np.abs(g))) if g.size else 0.0
-        history.append(max_mis)
-        if max_mis < opts.tol:
-            return PowerFlowSolution(
-                v=v,
-                p_inj=s_calc.real.copy(),
-                q_inj=s_calc.imag.copy(),
-                iterations=it,
-                max_mismatch=max_mis,
-                residual_history=history,
-            )
-        if it == opts.max_iter:
-            break
 
-        jac = newton_jac(v, vm, ibus)
-        try:
-            dx = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "singular power-flow Jacobian; check for islanding or voltage collapse",
-                history,
-            ) from None
-        va[pvpq] += dx[: pvpq.size]
-        vm[pq] += dx[pvpq.size :]
+    def diverged(kind: str, _flag: int) -> None:
+        raise ConvergenceError(f"power flow diverged: {kind} at iteration {len(history)}", history)
+
+    # an overflow or an invalid operation ends the iteration as a typed error
+    with np.errstate(over="call", invalid="call", call=diverged):
+        for it in range(opts.max_iter + 1):
+            v = vm * np.exp(1j * va)
+            ibus = ybus @ v
+            s_calc = v * np.conj(ibus)
+            mis = s_calc - s_spec
+            g = np.concatenate([mis.real[pvpq], mis.imag[pq]])
+            max_mis = float(np.max(np.abs(g))) if g.size else 0.0
+            history.append(max_mis)
+            if max_mis < opts.tol:
+                return PowerFlowSolution(
+                    v=v,
+                    p_inj=s_calc.real.copy(),
+                    q_inj=s_calc.imag.copy(),
+                    iterations=it,
+                    max_mismatch=max_mis,
+                    residual_history=history,
+                )
+            if it == opts.max_iter:
+                break
+
+            jac = newton_jac(v, vm, ibus)
+            try:
+                dx = np.linalg.solve(jac, -g)
+            except np.linalg.LinAlgError:
+                raise ConvergenceError(
+                    "singular power-flow Jacobian; check for islanding or voltage collapse",
+                    history,
+                ) from None
+            va[pvpq] += dx[: pvpq.size]
+            vm[pq] += dx[pvpq.size :]
 
     raise ConvergenceError(
         f"power flow did not converge in {opts.max_iter} iterations "
@@ -152,18 +155,17 @@ def solve_power_flow(
 class OperatingPoint:
     """Solved network state plus initialized machine internals.
 
-    Effective set-points absorb whatever the dispatch decided (slack power,
-    reactive support) so that every dynamic equation evaluates to zero here.
+    delta, e and p_eff follow the fleet order (SGs, then GFMs), the row
+    order of the Laplacian and the state matrix. Effective set-points
+    absorb whatever the dispatch decided (slack power, reactive support) so
+    that every dynamic equation evaluates to zero here.
     """
 
     v: np.ndarray  # complex bus voltages at the linearization point
-    sg_delta: np.ndarray
-    sg_e: np.ndarray
-    sg_p_eff: np.ndarray
-    gfm_delta: np.ndarray
-    gfm_e: np.ndarray
+    delta: np.ndarray  # SG rotor or GFM voltage angle
+    e: np.ndarray  # SG internal EMF or GFM voltage magnitude
+    p_eff: np.ndarray  # solved active output
     gfm_ve: np.ndarray
-    gfm_p_eff: np.ndarray
     gfm_vs_eff: np.ndarray
 
 
@@ -174,63 +176,36 @@ def init_dynamic_states(
 ) -> OperatingPoint:
     """Back out machine internal states from the solved terminal conditions.
 
-    SG: E∠δ = V + j x'd I with I the generator current; the reconstructed
-    air-gap power must match the schedule (slack excepted, it takes the
-    solved value). GFM: the unit forms its bus voltage, so δ = angle(V),
-    E = |V|, integrator state zero, and the voltage reference is shifted to
-    make the droop residual vanish exactly.
+    SG: E∠δ = V + j x'd I with I the generator current. GFM: the unit
+    forms its bus voltage, so E∠δ = V, integrator state zero, and the
+    voltage reference is shifted to make the droop residual vanish exactly.
+    Every machine's solved output must match its schedule; the slack takes
+    the solved value.
     """
-    slack = net.slack_id()
-    n_sg = len(machines.sgs)
-    sg_delta = np.zeros(n_sg)
-    sg_e = np.zeros(n_sg)
-    sg_p_eff = np.zeros(n_sg)
-    for i, m in enumerate(machines.sgs):
-        k = net.index_of[m.bus]
-        bus = net.bus(m.bus)
-        vk = sol.v[k]
-        p_gen = sol.p_inj[k] + bus.load_p
-        q_gen = sol.q_inj[k] + bus.load_q
-        i_gen = np.conj((p_gen + 1j * q_gen) / vk)
-        u = vk + 1j * m.xd_prime * i_gen
-        sg_delta[i] = np.angle(u)
-        sg_e[i] = np.abs(u)
-        sg_p_eff[i] = p_gen
-        if m.bus != slack and abs(p_gen - m.p_set) > SCHEDULE_TOL:
-            raise ValidationError(
-                f"sg at bus {m.bus}: solved output {p_gen:.6f} differs from "
-                f"schedule {m.p_set:.6f}"
-            )
+    buses, n_sg = machines.machine_buses, len(machines.sgs)
+    k = net.rows(buses)
+    vk = sol.v[k]
+    p_gen = sol.p_inj[k] + np.array([net.buses[i].load_p for i in k])
+    q_gen = sol.q_inj[k] + np.array([net.buses[i].load_q for i in k])
+    p_set = np.array([m.p_set for m in machines.fleet])
+    off = (np.array(buses) != net.slack_id()) & (np.abs(p_gen - p_set) > SCHEDULE_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValidationError(
+            f"{'sg' if i < n_sg else 'gfm'} at bus {buses[i]}: solved output "
+            f"{p_gen[i]:.6f} differs from schedule {p_set[i]:.6f}"
+        )
 
-    n_gfm = len(machines.gfms)
-    gfm_delta = np.zeros(n_gfm)
-    gfm_e = np.zeros(n_gfm)
-    gfm_p_eff = np.zeros(n_gfm)
-    gfm_vs_eff = np.zeros(n_gfm)
-    for j, g in enumerate(machines.gfms):
-        k = net.index_of[g.bus]
-        bus = net.bus(g.bus)
-        vk = sol.v[k]
-        p_gen = sol.p_inj[k] + bus.load_p
-        q_gen = sol.q_inj[k] + bus.load_q
-        gfm_delta[j] = np.angle(vk)
-        gfm_e[j] = np.abs(vk)
-        gfm_p_eff[j] = p_gen
-        gfm_vs_eff[j] = np.abs(vk) - g.lambda_q * (g.q_set - q_gen)
-        if g.bus != slack and abs(p_gen - g.p_set) > SCHEDULE_TOL:
-            raise ValidationError(
-                f"gfm at bus {g.bus}: solved output {p_gen:.6f} differs from "
-                f"schedule {g.p_set:.6f}"
-            )
-
+    u = vk.copy()
+    i_sg = np.conj((p_gen[:n_sg] + 1j * q_gen[:n_sg]) / vk[:n_sg])
+    u[:n_sg] += 1j * np.array([m.xd_prime for m in machines.sgs]) * i_sg
+    e = np.abs(u)
+    lam_q, q_set = machines.gfm_arrays("lambda_q", "q_set")
     return OperatingPoint(
         v=sol.v.copy(),
-        sg_delta=sg_delta,
-        sg_e=sg_e,
-        sg_p_eff=sg_p_eff,
-        gfm_delta=gfm_delta,
-        gfm_e=gfm_e,
-        gfm_ve=np.zeros(n_gfm),
-        gfm_p_eff=gfm_p_eff,
-        gfm_vs_eff=gfm_vs_eff,
+        delta=np.angle(u),
+        e=e,
+        p_eff=p_gen,
+        gfm_ve=np.zeros(len(machines.gfms)),
+        gfm_vs_eff=e[n_sg:] - lam_q * (q_set - q_gen[n_sg:]),
     )

@@ -28,7 +28,7 @@ from .coherency import (
     slow_eigensolve,
     track_modes,
 )
-from .errors import CoherenceLabError, ValidationError, as_list, read_field, read_json
+from .errors import CoherenceLabError, ValidationError, as_int, as_list, read_field, read_json
 from .linearize import (
     LaplacianPair,
     build_jacobians,
@@ -68,14 +68,11 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    for key in ("name", "replacements", "areas_r"):
-        if key not in raw:
-            raise ValidationError(f"scenario JSON missing required key '{key}'")
     reps = []
     for i, e in enumerate(read_field(raw, "replacements", as_list, "scenario")):
         where = f"replacements[{i}]"
-        retire = read_field(e, "retire_sg_bus", int, where)
-        gfm_bus = read_field(e, "gfm_bus", int, where)
+        retire = read_field(e, "retire_sg_bus", as_int, where)
+        gfm_bus = read_field(e, "gfm_bus", as_int, where)
         params = e.get("gfm_params", "default")
         _gfm_fields(params, f"{where}.gfm_params")
         reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
@@ -83,7 +80,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     opts_raw = raw.get("options", {})
     opts = PowerFlowOptions(
         tol=read_field(opts_raw, "tol", float, "options", 1e-8),
-        max_iter=read_field(opts_raw, "max_iter", int, "options", 30),
+        max_iter=read_field(opts_raw, "max_iter", as_int, "options", 30),
     )
     # the key survives only to declare the reactive-path (lossless) model
     if opts_raw.get("lossless", True) is not True:
@@ -98,7 +95,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     spec = ScenarioSpec(
         name=name,
         replacements=reps,
-        areas_r=read_field(raw, "areas_r", int, "scenario"),
+        areas_r=read_field(raw, "areas_r", as_int, "scenario"),
         band_hz=(read_field(band, "lo", float, "band_hz"),
                  read_field(band, "hi", float, "band_hz")),
         options=opts,
@@ -279,7 +276,7 @@ def _analyze_case(
         modes_band=[m for m in modes_all if lo <= m.freq_hz <= hi],
         equilibrium_max=eq.max_residual,
         slot_buses=slot_buses,
-        delta=np.concatenate([op.sg_delta, op.gfm_delta])[perm],
+        delta=op.delta[perm],
     )
 
 

@@ -66,8 +66,7 @@ def laplacian_closed_form(op: OperatingPoint, kron_b: np.ndarray) -> np.ndarray:
     """Angle Laplacian over the reduced susceptance network:
     L_ij = E_i E_j B_ij cos(delta_i - delta_j) off the diagonal, rows sum
     to zero."""
-    e = np.concatenate([op.sg_e, op.gfm_e])
-    d = np.concatenate([op.sg_delta, op.gfm_delta])
+    e, d = op.e, op.delta
     l = (e[:, None] * e[None, :]) * kron_b * np.cos(d[:, None] - d[None, :])
     np.fill_diagonal(l, 0.0)
     np.fill_diagonal(l, -l.sum(axis=1))

@@ -139,6 +139,9 @@ def test_connectivity_split_network():
      r"buses\[1\]: bad value nan for field 'load_p': numbers must be finite"),
     (lambda d: d["branches"][0].update(to=float("inf")),
      r"branches\[0\]: bad value inf for field 'to'"),
+    (lambda d: d["buses"][1].update(id=53.7), r"buses\[1\]: bad value 53.7 for field 'id'"),
+    (lambda d: d["branches"][0].update({"from": True}),
+     r"branches\[0\]: bad value True for field 'from'"),
     (lambda d: d["buses"][0].pop("v_setpoint"), "requires v_setpoint"),
     (lambda d: d["buses"][0].update(kind="pq"), "exactly one slack"),
     (lambda d: d["branches"][0].pop("from"), r"branches\[0\]: missing field 'from'"),

@@ -1,14 +1,15 @@
 """Newton power flow against a closed-form two-bus oracle and scheduled
 injection checks on the packaged case."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab.errors import ConvergenceError
+from coherence_lab.errors import ConvergenceError, ValidationError
 from coherence_lab.machines import machines_from_dict
 from coherence_lab.network import build_admittance, network_from_dict
-from coherence_lab.powerflow import _newton_jacobian
 
 from conftest import DATA, build_small_system, solve_and_init, two_bus_dicts, two_bus_solution
 
@@ -129,8 +130,39 @@ def test_init_dynamic_states_with_gfms():
     sol, op = solve_and_init(net, ms)
     eq = cl.check_equilibrium(cl.build_linear_model(net, ms, op, lossless=False))
     assert eq.max_residual < 1e-8
-    assert op.gfm_e.shape == (2,)
-    assert np.all(op.gfm_e > 0.5)
+    # fleet order: the GFM half follows the SGs and holds the bus voltage
+    n_sg = len(ms.sgs)
+    assert op.delta.shape == op.e.shape == op.p_eff.shape == (n_sg + 2,)
+    k = [net.index_of[g.bus] for g in ms.gfms]
+    np.testing.assert_allclose(op.delta[n_sg:], np.angle(sol.v[k]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(op.e[n_sg:], np.abs(sol.v[k]), rtol=0, atol=1e-14)
+    for j, g in enumerate(ms.gfms):
+        q_gen = sol.q_inj[k[j]] + net.bus(g.bus).load_q
+        want = abs(sol.v[k[j]]) - g.lambda_q * (g.q_set - q_gen)
+        assert op.gfm_vs_eff[j] == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind,i", [("sgs", 1), ("gfms", 0)])
+def test_init_dynamic_states_checks_the_schedule(kind, i):
+    """A solution that misses one non-slack machine's schedule by 1e-3 is
+    refused, and the message names the machine."""
+    net, ms = build_small_system(11, n_m=6, n_gfm=2)
+    sol = cl.solve_power_flow(net, ms, cl.PowerFlowOptions(tol=1e-10))
+    fleet = list(getattr(ms, kind))
+    m = fleet[i]
+    assert m.bus != net.slack_id()
+    fleet[i] = dataclasses.replace(m, p_set=m.p_set + 1e-3)
+    moved = dataclasses.replace(ms, **{kind: fleet})
+    with pytest.raises(ValidationError, match=rf"^{kind[:-1]} at bus {m.bus}: solved output"):
+        cl.init_dynamic_states(net, moved, sol)
+
+
+def test_overflow_is_a_convergence_error():
+    """An input so large that the iteration overflows ends as a typed error
+    that keeps the residual history, and numpy warns of nothing."""
+    with pytest.raises(ConvergenceError, match="diverged: overflow") as exc_info:
+        solve_two_bus(p_load=1e300)
+    assert exc_info.value.residual_history[0] == pytest.approx(1e300)
 
 
 def test_sg_internal_voltage_consistency(net68, ms68):
@@ -141,7 +173,7 @@ def test_sg_internal_voltage_consistency(net68, ms68):
     for i, m in enumerate(ms68.sgs):
         k = net68.index_of[m.bus]
         u = sol.v[k] + 1j * m.xd_prime * i_net[k]
-        assert abs(u - op.sg_e[i] * np.exp(1j * op.sg_delta[i])) < 1e-9
+        assert abs(u - op.e[i] * np.exp(1j * op.delta[i])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +229,10 @@ def test_newton_jacobian_matches_dense_formula_and_differences(name):
     va = rng.uniform(-0.3, 0.3, net.n_bus)
     vm = rng.uniform(0.95, 1.05, net.n_bus)
     v = vm * np.exp(1j * va)
+
+    # imported here, so a renamed private helper fails only this test and
+    # not the collection of the modules that import this one
+    from coherence_lab.powerflow import _newton_jacobian
 
     got = _newton_jacobian(ybus, pvpq, pq)(v, vm, ybus @ v)
     np.testing.assert_array_equal(got, dense_newton_jacobian(ybus, v, vm, pvpq, pq))

@@ -52,9 +52,9 @@ def test_scenario_parsing_roundtrip():
 
 
 @pytest.mark.parametrize("raw, fragment", [
-    ({"replacements": [], "areas_r": 2}, "missing required key 'name'"),
-    ({"name": "x", "areas_r": 2}, "missing required key 'replacements'"),
-    ({"name": "x", "replacements": []}, "missing required key 'areas_r'"),
+    ({"replacements": [], "areas_r": 2}, "scenario: missing field 'name'"),
+    ({"name": "x", "areas_r": 2}, "scenario: missing field 'replacements'"),
+    ({"name": "x", "replacements": []}, "scenario: missing field 'areas_r'"),
     ({"name": "x", "replacements": [], "areas_r": 0}, "at least 1"),
     ({"name": "x", "replacements": [], "areas_r": 2,
       "band_hz": {"lo": 1.0, "hi": 0.5}}, "lo must be below hi"),
@@ -89,6 +89,10 @@ def test_scenario_parsing_roundtrip():
      "max_iter must be nonnegative"),
     ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": {"lo": float("nan"), "hi": 1}},
      "band_hz: bad value nan for field 'lo': numbers must be finite"),
+    ({"name": "x", "replacements": [], "areas_r": 2.9},
+     "scenario: bad value 2.9 for field 'areas_r'"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"max_iter": 2.5}},
+     "options: bad value 2.5 for field 'max_iter'"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -261,8 +265,7 @@ def test_scenario_slot_alignment(report_s1):
 
 def test_case_angles_follow_slots(report_s2):
     case = report_s2.scenario
-    native = np.concatenate([case.op.sg_delta, case.op.gfm_delta])
-    by_bus = dict(zip(case.machines.machine_buses, native))
+    by_bus = dict(zip(case.machines.machine_buses, case.op.delta))
     assert case.delta.tolist() == [by_bus[b] for b in case.slot_buses]
 
 
