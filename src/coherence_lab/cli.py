@@ -18,7 +18,7 @@ from .errors import (
 )
 from .machines import load_machines
 from .network import connectivity_check, load_network
-from .powerflow import PowerFlowOptions, solve_power_flow
+from .powerflow import solve_power_flow
 from .reportio import band_mode_plots, emit, mode_svg
 from .scenario import ScenarioSpec, load_scenario, run_pipeline
 
@@ -133,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"network: {net.n_bus} buses, {len(net.branches)} branches, "
           f"{len(comps)} component(s)")
     print(f"machines: {len(machines.sgs)} SG, {len(machines.gfms)} GFM")
-    sol = solve_power_flow(net, machines, PowerFlowOptions())
+    sol = solve_power_flow(net, machines)
     print(f"power flow converged in {sol.iterations} iterations "
           f"(mismatch {sol.max_mismatch:.2e})")
     return 0

@@ -355,11 +355,15 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 @dataclass(frozen=True)
 class LaplacianPair:
     l: np.ndarray
-    l_bar: np.ndarray
     m_e: np.ndarray  # diagonal entries
     machine_order: list[int]
     feedthrough_e: np.ndarray
     variant: str
+
+    @property
+    def l_bar(self) -> np.ndarray:
+        """M_e^{-1} L, the Laplacian per unit of equivalent mass."""
+        return self.l / self.m_e[:, None]
 
 
 def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,7 +407,6 @@ def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     l, feed, _ = _reduce(blocks)
     return LaplacianPair(
         l=l,
-        l_bar=l / blocks.m_e[:, None],
         m_e=blocks.m_e.copy(),
         machine_order=blocks.model.machines.machine_buses,
         feedthrough_e=feed,

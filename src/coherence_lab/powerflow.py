@@ -20,10 +20,14 @@ from .network import Network, _pattern, build_admittance, connectivity_check
 SCHEDULE_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerFlowOptions:
     tol: float = 1e-8
     max_iter: int = 30
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 0 or not self.tol > 0:  # also refuses a NaN tol
+            raise ValidationError("options: max_iter must be nonnegative and tol positive")
 
 
 @dataclass
@@ -77,12 +81,11 @@ def _newton_jacobian(ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray):
 def solve_power_flow(
     net: Network,
     machines: MachineSet,
-    opts: PowerFlowOptions | None = None,
+    opts: PowerFlowOptions = PowerFlowOptions(),
 ) -> PowerFlowSolution:
     """Full Newton power flow from a flat start. Raises ConvergenceError
     with the residual history when the iteration stalls, overflows or
     meets an invalid operation, or its Jacobian goes singular."""
-    opts = opts or PowerFlowOptions()
     validate_against_network(machines, net)
     comps = connectivity_check(net)
     if len(comps) > 1:

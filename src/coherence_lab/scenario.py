@@ -37,8 +37,8 @@ from .linearize import (
     kron_reduce,
     state_matrix,
 )
-from .machines import Gfm, MachineSet, gfm_from_dict, validate_against_network
-from .network import Bus, Network
+from .machines import Gfm, MachineSet, gfm_from_dict, load_machines, validate_against_network
+from .network import Bus, Network, load_network
 from .powerflow import (
     OperatingPoint,
     PowerFlowOptions,
@@ -54,13 +54,24 @@ class Replacement:
     gfm_params: dict | str = "default"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
-    name: str
+    name: str  # names artifacts, heads CSV columns
     replacements: list[Replacement]
     areas_r: int
     band_hz: tuple[float, float] = (0.3, 1.0)
-    options: PowerFlowOptions = field(default_factory=PowerFlowOptions)
+    options: PowerFlowOptions = PowerFlowOptions()
+
+    def __post_init__(self) -> None:
+        name = self.name
+        if not name or name[0] == "." or re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name):
+            raise ValidationError(
+                f"scenario: bad value {name!r} for field 'name': it is empty, starts with '.', "
+                "or holds a '/', '\\', ',' or control character")
+        if self.areas_r < 1:
+            raise ValidationError("areas_r must be at least 1")
+        if not self.band_hz[0] < self.band_hz[1]:  # also refuses a NaN edge
+            raise ValidationError("band_hz lo must be below hi")
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -73,40 +84,28 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         where = f"replacements[{i}]"
         retire = read_field(e, "retire_sg_bus", as_int, where)
         gfm_bus = read_field(e, "gfm_bus", as_int, where)
-        params = e.get("gfm_params", "default")
+        params = e.get("gfm_params", Replacement.gfm_params)
         _gfm_fields(params, f"{where}.gfm_params")
         reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
-    band = raw.get("band_hz", {"lo": 0.3, "hi": 1.0})
+    band = raw.get("band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
     opts_raw = raw.get("options", {})
     opts = PowerFlowOptions(
-        tol=read_field(opts_raw, "tol", float, "options", 1e-8),
-        max_iter=read_field(opts_raw, "max_iter", as_int, "options", 30),
+        tol=read_field(opts_raw, "tol", float, "options", PowerFlowOptions.tol),
+        max_iter=read_field(opts_raw, "max_iter", as_int, "options", PowerFlowOptions.max_iter),
     )
     # the key survives only to declare the reactive-path (lossless) model
     if opts_raw.get("lossless", True) is not True:
         raise ValidationError(
             "options.lossless must be true: slow coherency needs the reactive-path reduction"
         )
-    name = read_field(raw, "name", str, "scenario")  # names artifacts, heads CSV columns
-    if not name or name[0] == "." or re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name):
-        raise ValidationError(
-            f"scenario: bad value {name!r} for field 'name': it is empty, starts with '.', "
-            "or holds a '/', '\\', ',' or control character")
-    spec = ScenarioSpec(
-        name=name,
+    return ScenarioSpec(
+        name=read_field(raw, "name", str, "scenario"),
         replacements=reps,
         areas_r=read_field(raw, "areas_r", as_int, "scenario"),
         band_hz=(read_field(band, "lo", float, "band_hz"),
                  read_field(band, "hi", float, "band_hz")),
         options=opts,
     )
-    if spec.areas_r < 1:
-        raise ValidationError("areas_r must be at least 1")
-    if spec.band_hz[0] >= spec.band_hz[1]:
-        raise ValidationError("band_hz lo must be below hi")
-    if opts.max_iter < 0 or opts.tol <= 0:
-        raise ValidationError("options: max_iter must be nonnegative and tol positive")
-    return spec
 
 
 def _gfm_fields(params: dict | str, where: str) -> dict:
@@ -136,12 +135,13 @@ def apply_scenario(
     retires, the remaining SG with the largest schedule is promoted; with
     no SG left, the GFM with the largest schedule.
     """
-    if not spec.replacements:
-        return net, machines, []
     warnings: list[str] = []
 
     retired: list[int] = []
     new_gfms: list[Gfm] = []
+    retiring = {r.retire_sg_bus for r in spec.replacements}
+    remaining_sgs = [m for m in machines.sgs if m.bus not in retiring]
+    occupied = {m.bus for m in [*remaining_sgs, *machines.gfms]}
     for i, rep in enumerate(spec.replacements):
         sg = machines.sg_at(rep.retire_sg_bus)
         if sg is None:
@@ -150,12 +150,6 @@ def apply_scenario(
             raise ValidationError(f"bus {rep.retire_sg_bus} retired twice")
         if rep.gfm_bus not in net.index_of:
             raise ValidationError(f"gfm bus {rep.gfm_bus} not in network")
-        occupied = (
-            [m.bus for m in machines.sgs if m.bus not in
-             [x.retire_sg_bus for x in spec.replacements]]
-            + [m.bus for m in machines.gfms]
-            + [g.bus for g in new_gfms]
-        )
         if rep.gfm_bus in occupied:
             raise ValidationError(f"gfm bus {rep.gfm_bus} already has a machine")
         retired.append(rep.retire_sg_bus)
@@ -171,6 +165,7 @@ def apply_scenario(
         entry.setdefault("q_set", round(float(q_solved), 12))
         entry.setdefault("v_set", round(v_here, 12))
         new_gfms.append(gfm_from_dict(entry, where))
+        occupied.add(rep.gfm_bus)
 
     slack = net.slack_id()
     new_buses: list[Bus] = []
@@ -185,7 +180,6 @@ def apply_scenario(
         else:
             new_buses.append(b)
 
-    remaining_sgs = [m for m in machines.sgs if m.bus not in retired]
     gfms = list(machines.gfms) + new_gfms
     if slack in retired:
         # GFMs form voltage too, so a fleet without SGs still has a slack
@@ -252,7 +246,6 @@ def _analyze_case(
     lap = dc_replace(
         native,
         l=native.l[np.ix_(perm, perm)],
-        l_bar=native.l_bar[np.ix_(perm, perm)],
         m_e=native.m_e[perm],
         machine_order=list(slot_buses),
         feedthrough_e=native.feedthrough_e[perm, :],
@@ -284,49 +277,42 @@ def _analyze_case(
 class ScenarioReport:
     spec: ScenarioSpec
     base: CaseResult
-    scenario: CaseResult | None
-    comparison: SubspaceComparison | None
-    mode_track: list[dict] | None
-    flipped: list[int] | None
-    warnings: list[str]
+    scenario: CaseResult | None = None
+    comparison: SubspaceComparison | None = None
+    mode_track: list[dict] | None = None
+    flipped: list[int] | None = None
+    warnings: list[str] = field(default_factory=list)
 
 
-def _flipped_machines(base: Partition, scen: Partition, slot_buses: list[int]) -> list[int]:
-    """Base buses of the slots whose area changed, in slot order. Each
-    scenario area is matched to the base area it shares the most slots
-    with, the lowest index on a tie; both partitions are in slot order."""
-    base_rows = [set(rows) for rows in base.area_rows]
+def compare_cases(
+    base: CaseResult, scen: CaseResult
+) -> tuple[SubspaceComparison, list[dict], list[int]]:
+    """Pair two cases in the same slots: their slow subspaces compared, each
+    base band mode tracked among the scenario's modes, and the base buses of
+    the slots whose area changed, in slot order. A scenario area belongs to
+    the base area it shares the most slots with, the lowest index on a tie."""
+    base_rows = [set(rows) for rows in base.part.area_rows]
     flipped: set[int] = set()
-    for rows in map(set, scen.area_rows):
+    for rows in map(set, scen.part.area_rows):
         shared = [len(rows & b) for b in base_rows]
         flipped |= rows - base_rows[shared.index(max(shared))]
-    return [slot_buses[i] for i in sorted(flipped)]
+    return (
+        compare_subspaces(base.lap, base.sub, scen.lap, scen.sub),
+        track_modes(base.modes_band, scen.modes_all),
+        [base.slot_buses[i] for i in sorted(flipped)],
+    )
 
 
 def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> ScenarioReport:
-    """Base case, optional scenario case, comparison, and mode tracking."""
-    warnings: list[str] = []
+    """The base case; with replacements, the scenario case and compare_cases."""
     base = _analyze_case(net, machines, spec, machines.machine_buses)
-
     if not spec.replacements:
-        return ScenarioReport(
-            spec=spec,
-            base=base,
-            scenario=None,
-            comparison=None,
-            mode_track=None,
-            flipped=None,
-            warnings=warnings,
-        )
+        return ScenarioReport(spec=spec, base=base)
 
-    net2, machines2, warns = apply_scenario(net, machines, spec, base_sol=base.sol)
-    warnings.extend(warns)
+    net2, machines2, warnings = apply_scenario(net, machines, spec, base_sol=base.sol)
     slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
     scen = _analyze_case(net2, machines2, spec, [slot_map.get(b, b) for b in base.slot_buses])
-
-    comparison = compare_subspaces(base.lap, base.sub, scen.lap, scen.sub)
-    mode_track = track_modes(base.modes_band, scen.modes_all)
-    flipped = _flipped_machines(base.part, scen.part, base.slot_buses)
+    comparison, mode_track, flipped = compare_cases(base, scen)
 
     return ScenarioReport(
         spec=spec,
@@ -351,9 +337,6 @@ def batch_run(jobs: list[BatchJob], threads: int = 1) -> list[dict]:
     """Run jobs concurrently, results in input order. A job that fails with
     a CoherenceLabError is recorded with its exit code; any other exception
     is a bug and propagates to the caller."""
-    from .machines import load_machines
-    from .network import load_network
-
     threads = max(1, threads)
 
     def one(job: BatchJob) -> dict:

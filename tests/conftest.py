@@ -207,7 +207,6 @@ def lap_from_weights(w, m, first_bus=1):
     np.fill_diagonal(l, -l.sum(axis=1))
     return LaplacianPair(
         l=l,
-        l_bar=l / m[:, None],
         m_e=m.astype(float),
         machine_order=list(range(first_bus, first_bus + n)),
         feedthrough_e=np.zeros((n, n)),

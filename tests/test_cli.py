@@ -78,6 +78,16 @@ def test_run_without_scenario_uses_areas_r(tmp_path, capsys):
     assert len(doc["base"]["groups"]["areas"]) == 5
 
 
+def test_run_without_scenario_checks_areas_r(tmp_path, capsys):
+    """The base-only spec the CLI builds passes the same checks as a file."""
+    rc = run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--out", tmp_path / "o", "--areas-r", "0",
+    ])
+    assert rc == 1
+    assert "areas_r must be at least 1" in capsys.readouterr().err
+
+
 def test_validate_ok(capsys):
     rc = run_cli([
         "validate", "--network", DATA / "network.json",

@@ -20,6 +20,7 @@ from coherence_lab.scenario import (
     ScenarioSpec,
     apply_scenario,
     batch_run,
+    compare_cases,
     scenario_from_dict,
 )
 
@@ -93,10 +94,39 @@ def test_scenario_parsing_roundtrip():
      "scenario: bad value 2.9 for field 'areas_r'"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"max_iter": 2.5}},
      "options: bad value 2.5 for field 'max_iter'"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": 5},
+     "options: expected an object, got int"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": 5},
+     "band_hz: expected an object, got int"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": None},
+     "options: expected an object, got NoneType"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
         scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("record, args, kwargs, fragment", [
+    (ScenarioSpec, ("a/b", [], 5), {}, "for field 'name'"),
+    (ScenarioSpec, ("x", [], 0), {}, "areas_r must be at least 1"),
+    (ScenarioSpec, ("x", [], 5), {"band_hz": (1.0, 0.3)}, "band_hz lo must be below hi"),
+    (ScenarioSpec, ("x", [], 5), {"band_hz": (float("nan"), 1.0)}, "band_hz lo must be below"),
+    (cl.PowerFlowOptions, (), {"tol": 0.0}, "tol positive"),
+    (cl.PowerFlowOptions, (), {"tol": float("nan")}, "tol positive"),
+], ids=["name", "areas_r", "band_hz", "band_hz-nan", "tol", "tol-nan"])
+def test_code_built_records_check_themselves(record, args, kwargs, fragment):
+    """A spec or options record built in code passes the rules a file does."""
+    with pytest.raises(ValidationError, match=fragment):
+        record(*args, **kwargs)
+
+
+def test_negative_max_iter_is_validation_error(net68, ms68):
+    """Refused when the options are built, before any Newton step."""
+    with pytest.raises(ValidationError, match="max_iter must be nonnegative"):
+        cl.solve_power_flow(net68, ms68, cl.PowerFlowOptions(max_iter=-1))
+    with pytest.raises(ValidationError, match="max_iter must be nonnegative"):
+        cl.run_pipeline(net68, ms68, ScenarioSpec(
+            "x", [], 5, options=cl.PowerFlowOptions(max_iter=-1)))
 
 
 def test_apply_scenario_rewires_buses(net68, ms68, sol68):
@@ -273,7 +303,8 @@ def test_case_records_are_frozen(report_s1):
     case = report_s1.scenario
     for record, name in [(report_s1, "base"), (case, "slot_buses"), (case.lap, "l"),
                          (case.sub, "w_r"), (case.part, "areas"),
-                         (case.modes_all[0], "components"), (report_s1.comparison, "q")]:
+                         (case.modes_all[0], "components"), (report_s1.comparison, "q"),
+                         (report_s1.spec, "areas_r"), (report_s1.spec.options, "max_iter")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, None)
 
@@ -290,6 +321,21 @@ def test_scenario_masses_change_only_in_slot(report_s1):
 def test_flipped_is_subset_of_fleet(report_s1, report_s2):
     for rep in (report_s1, report_s2):
         assert set(rep.flipped) <= set(rep.base.lap.machine_order)
+
+
+def test_compare_cases_pairs_a_case_with_itself(report_base, report_s1, report_s2):
+    """A case paired with itself: no machine flips, the slow subspaces
+    coincide and every band mode tracks onto itself. The residual bound is
+    not asserted: with a right-hand side near 0 it cannot absorb the
+    rounding floor of the sines, about sqrt(2 eps)."""
+    for case in (report_base.base, report_s1.scenario, report_s2.scenario):
+        comparison, mode_track, flipped = compare_cases(case, case)
+        assert flipped == []
+        assert np.all(comparison.thetas < 1e-6)
+        assert len(mode_track) == len(case.modes_band) > 0
+        for row in mode_track:
+            assert row["delta_hz"] == 0
+            assert abs(row["correlation"] - 1) <= 1e-12
 
 
 def test_mode_track_rows(report_s1):
@@ -323,6 +369,18 @@ def test_batch_run_isolates_failures(tmp_path):
     assert not results[1]["ok"]
     assert "InputOutputError" in results[1]["error"]
     assert results[1]["exit_code"] == 4
+
+
+def test_batch_run_checks_base_only_label(tmp_path):
+    """A base-only job's label names its spec, so it passes the name rule:
+    a label that would write outside the output directory fails the job."""
+    good = write_two_bus_job(tmp_path, "good")
+    bad = BatchJob(network=str(DATA / "network.json"), machines=str(DATA / "machines.json"),
+                   label="../esc")
+    results = batch_run([good, bad], threads=1)
+    assert [r["ok"] for r in results] == [True, False]
+    assert results[1]["exit_code"] == 1
+    assert "field 'name'" in results[1]["error"]
 
 
 @pytest.mark.parametrize("scenario", [
