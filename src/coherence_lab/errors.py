@@ -6,8 +6,11 @@ triage failures without parsing messages.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from numbers import Integral
 from pathlib import Path
 
@@ -90,7 +93,8 @@ def read_json(path: str | Path, what: str) -> dict:
 def as_int(value) -> int:
     """The cast for read_field of an integer field: an integer, or a float
     with no fractional part; a bool, a string or 2.9 is refused."""
-    if isinstance(value, float) and value.is_integer():
+    # an int first: the Integral check below is the slow part of a file load
+    if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"expected an integer, got {value!r}")
@@ -103,3 +107,48 @@ def as_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
     return value
+
+
+def check(rules: list[tuple[bool, str]]) -> None:
+    """Raise ValidationError naming every broken rule of (ok, rule) pairs."""
+    broken = [rule for ok, rule in rules if not ok]
+    if broken:
+        raise ValidationError("; ".join(broken))
+
+
+def check_keys(entry, known, where: str) -> None:
+    """Refuse an entry that is not an object or holds a key outside known."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
+    if not entry.keys() <= known:
+        raise ValidationError(f"{where}: unknown fields {sorted(entry.keys() - known)}")
+
+
+def read_record(cls, entry, where: str, **given):
+    """Dataclass cls read from one input-file object: an undeclared key is
+    refused, each field not given is read under its key by its declared
+    type and default, and cls's own ValidationError is prefixed with where."""
+    table, declared = _field_table(cls)
+    check_keys(entry, declared, where)
+    for name, key, cast, default in table:
+        if name not in given:
+            if cast is None:
+                raise TypeError(f"{cls.__name__}.{name} has no cast and must be given")
+            given[name] = read_field(entry, key, cast, where, default)
+    try:
+        return cls(**given)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+@functools.cache  # uncached, get_type_hints makes loading a ring grid ~15x slower
+def _field_table(cls):
+    """(name, key, cast, default) of each field of cls set at construction,
+    and the set of keys. A field's key is its name unless its metadata
+    names one; a field whose type has no cast must be given."""
+    hints = typing.get_type_hints(cls)
+    casts = {int: as_int, float: float, float | None: float, str: str}
+    table = tuple((f.name, f.metadata.get("key", f.name), casts.get(hints[f.name]),
+                   _REQUIRED if f.default is dataclasses.MISSING else f.default)
+                  for f in dataclasses.fields(cls) if f.init)
+    return table, frozenset(key for _, key, _, _ in table)

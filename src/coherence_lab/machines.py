@@ -18,25 +18,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_int, as_list, read_field, read_json
+from .errors import ValidationError, as_list, check, read_field, read_json, read_record
 from .network import Network
-
-GFM_DEFAULTS = {
-    "tau": 0.05,
-    "lambda_p": 0.05,
-    "lambda_q": 0.05,
-    "kpv": 0.5,
-    "kiv": 20.0,
-}
-
 
 @dataclass(frozen=True)
 class Sg:
     bus: int
     m: float
-    d: float
     xd_prime: float
     p_set: float
+    d: float = 0.0
+
+    def __post_init__(self) -> None:
+        check([(self.m > 0, "m must be positive"),
+               (self.xd_prime > 0, "xd_prime must be positive"),
+               (self.d >= 0, "d must be nonnegative")])
 
     def d_internal(self, omega0: float) -> float:
         # pu power per rad/s
@@ -46,14 +42,21 @@ class Sg:
 @dataclass(frozen=True)
 class Gfm:
     bus: int
-    tau: float = GFM_DEFAULTS["tau"]
-    lambda_p: float = GFM_DEFAULTS["lambda_p"]
-    lambda_q: float = GFM_DEFAULTS["lambda_q"]
-    kpv: float = GFM_DEFAULTS["kpv"]
-    kiv: float = GFM_DEFAULTS["kiv"]
+    tau: float = 0.05
+    lambda_p: float = 0.05
+    lambda_q: float = 0.05
+    kpv: float = 0.5
+    kiv: float = 20.0
     v_set: float = 1.0
     p_set: float = 0.0
     q_set: float = 0.0
+
+    def __post_init__(self) -> None:
+        check([(self.tau > 0, "tau must be positive"),
+               (self.lambda_p > 0, "lambda_p must be positive"),
+               (self.lambda_q >= 0, "lambda_q must be nonnegative"),
+               (self.kpv >= 0 and self.kiv >= 0, "kpv/kiv must be nonnegative"),
+               (self.v_set > 0, "v_set must be positive")])
 
     def lambda_p_internal(self, omega0: float) -> float:
         # rad/s of frequency droop per pu of power
@@ -64,10 +67,20 @@ class Gfm:
         return self.tau / self.lambda_p_internal(omega0)
 
 
+# the control-loop defaults, which a scenario's gfm_params may override
+GFM_DEFAULTS = {k: getattr(Gfm, k) for k in ("tau", "lambda_p", "lambda_q", "kpv", "kiv")}
+
+
 @dataclass
 class MachineSet:
     sgs: list[Sg]
     gfms: list[Gfm]
+
+    def __post_init__(self) -> None:
+        buses = self.machine_buses
+        dupes = sorted({b for b in buses if buses.count(b) > 1})
+        check([(not dupes, f"more than one machine at bus(es) {dupes}"),
+               (bool(buses), "machine set is empty")])
 
     @property
     def fleet(self) -> list[Sg | Gfm]:
@@ -94,65 +107,19 @@ def load_machines(path: str | Path) -> MachineSet:
 
 
 def machines_from_dict(raw: dict) -> MachineSet:
-    sgs = []
-    for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", [])):
-        where = f"sgs[{i}]"
-        sg = Sg(
-            bus=read_field(e, "bus", as_int, where),
-            m=read_field(e, "m", float, where),
-            d=read_field(e, "d", float, where, 0.0),
-            xd_prime=read_field(e, "xd_prime", float, where),
-            p_set=read_field(e, "p_set", float, where),
-        )
-        _check(where, [(sg.m > 0, "m must be positive"),
-                       (sg.xd_prime > 0, "xd_prime must be positive"),
-                       (sg.d >= 0, "d must be nonnegative")])
-        sgs.append(sg)
-    gfms = [
-        gfm_from_dict(e, f"gfms[{i}]")
-        for i, e in enumerate(read_field(raw, "gfms", as_list, "machines", []))
-    ]
-    ms = MachineSet(sgs=sgs, gfms=gfms)
-    _validate_standalone(ms)
-    return ms
+    return read_record(
+        MachineSet, raw, "machines",
+        sgs=[read_record(Sg, e, f"sgs[{i}]")
+             for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", []))],
+        gfms=[gfm_from_dict(e, f"gfms[{i}]")
+              for i, e in enumerate(read_field(raw, "gfms", as_list, "machines", []))],
+    )
 
 
 def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
     """One GFM, checked by the same rules wherever it comes from: a fleet
     file or a scenario replacement."""
-    bus = read_field(e, "bus", as_int, where)
-    known = set(GFM_DEFAULTS) | {"v_set", "p_set", "q_set"}
-    unknown = set(e) - known - {"bus"}
-    if unknown:
-        raise ValidationError(f"gfm at bus {bus}: unknown fields {sorted(unknown)}")
-    fields = dict(GFM_DEFAULTS)
-    fields.update({k: read_field(e, k, float, where) for k in e if k != "bus"})
-    g = Gfm(bus=bus, **fields)
-    _check(where, [(g.tau > 0, "tau must be positive"),
-                   (g.lambda_p > 0, "lambda_p must be positive"),
-                   (g.lambda_q >= 0, "lambda_q must be nonnegative"),
-                   (g.kpv >= 0 and g.kiv >= 0, "kpv/kiv must be nonnegative"),
-                   (g.v_set > 0, "v_set must be positive")])
-    return g
-
-
-def _check(where: str, rules: list[tuple[bool, str]]) -> None:
-    """Raise ValidationError naming the entry and every rule it breaks."""
-    broken = [rule for ok, rule in rules if not ok]
-    if broken:
-        raise ValidationError(f"{where}: " + "; ".join(broken))
-
-
-def _validate_standalone(ms: MachineSet) -> None:
-    errors: list[str] = []
-    buses = ms.machine_buses
-    dupes = {b for b in buses if buses.count(b) > 1}
-    if dupes:
-        errors.append(f"more than one machine at bus(es) {sorted(dupes)}")
-    if not buses:
-        errors.append("machine set is empty")
-    if errors:
-        raise ValidationError("machine validation failed: " + "; ".join(errors))
+    return read_record(Gfm, e, where)
 
 
 def validate_against_network(ms: MachineSet, net: Network) -> None:

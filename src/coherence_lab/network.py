@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_int, as_list, read_field, read_json
+from .errors import ValidationError, as_int, as_list, read_field, read_json, read_record
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -33,8 +33,8 @@ class Bus:
 
 @dataclass(frozen=True)
 class Branch:
-    from_bus: int
-    to_bus: int
+    from_bus: int = field(metadata={"key": "from"})
+    to_bus: int = field(metadata={"key": "to"})
     r: float
     x: float
     b_charging: float = 0.0
@@ -90,36 +90,10 @@ def network_from_dict(raw: dict) -> Network:
         kind = entry.get("kind")
         if kind not in BUS_KINDS:
             raise ValidationError(f"bus {bus_id}: bad kind {kind!r}")
-        buses.append(
-            Bus(
-                id=bus_id,
-                kind=kind,
-                v_setpoint=read_field(entry, "v_setpoint", float, where, None),
-                load_p=read_field(entry, "load_p", float, where, 0.0),
-                load_q=read_field(entry, "load_q", float, where, 0.0),
-                shunt_g=read_field(entry, "shunt_g", float, where, 0.0),
-                shunt_b=read_field(entry, "shunt_b", float, where, 0.0),
-            )
-        )
-    branches = []
-    for i, e in enumerate(read_field(raw, "branches", as_list, "network")):
-        where = f"branches[{i}]"
-        branches.append(
-            Branch(
-                from_bus=read_field(e, "from", as_int, where),
-                to_bus=read_field(e, "to", as_int, where),
-                r=read_field(e, "r", float, where),
-                x=read_field(e, "x", float, where),
-                b_charging=read_field(e, "b_charging", float, where, 0.0),
-                tap=read_field(e, "tap", float, where, 1.0),
-            )
-        )
-    net = Network(
-        base_mva=read_field(raw, "base_mva", float, "network"),
-        f0_hz=read_field(raw, "f0_hz", float, "network"),
-        buses=buses,
-        branches=branches,
-    )
+        buses.append(read_record(Bus, entry, where, id=bus_id, kind=kind))
+    branches = [read_record(Branch, e, f"branches[{i}]")
+                for i, e in enumerate(read_field(raw, "branches", as_list, "network"))]
+    net = read_record(Network, raw, "network", buses=buses, branches=branches)
     _validate(net)
     return net
 

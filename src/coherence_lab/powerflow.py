@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check
 from .machines import MachineSet, validate_against_network
 from .network import Network, _pattern, build_admittance, connectivity_check
 
@@ -26,8 +26,8 @@ class PowerFlowOptions:
     max_iter: int = 30
 
     def __post_init__(self) -> None:
-        if self.max_iter < 0 or not self.tol > 0:  # also refuses a NaN tol
-            raise ValidationError("options: max_iter must be nonnegative and tol positive")
+        check([(self.max_iter >= 0 and self.tol > 0,  # also refuses a NaN tol
+                "max_iter must be nonnegative and tol positive")])
 
 
 @dataclass

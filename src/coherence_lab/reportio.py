@@ -13,6 +13,7 @@ to a fixed short format.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -107,19 +108,9 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "name": spec.name,
         "areas_r": spec.areas_r,
         "band_hz": [spec.band_hz[0], spec.band_hz[1]],
-        "options": {
-            "lossless": True,  # the only model slow coherency accepts
-            "tol": spec.options.tol,
-            "max_iter": spec.options.max_iter,
-        },
-        "replacements": [
-            {
-                "retire_sg_bus": r.retire_sg_bus,
-                "gfm_bus": r.gfm_bus,
-                "gfm_params": r.gfm_params,
-            }
-            for r in spec.replacements
-        ],
+        # lossless is the only model slow coherency accepts
+        "options": {"lossless": True, **asdict(spec.options)},
+        "replacements": [asdict(r) for r in spec.replacements],
         "warnings": list(report.warnings),
         "base": case_to_dict(report.base),
         "scenario": case_to_dict(report.scenario) if report.scenario else None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,16 @@ from .coherency import (
     slow_eigensolve,
     track_modes,
 )
-from .errors import CoherenceLabError, ValidationError, as_int, as_list, read_field, read_json
+from .errors import (
+    CoherenceLabError,
+    ValidationError,
+    as_list,
+    check,
+    check_keys,
+    read_field,
+    read_json,
+    read_record,
+)
 from .linearize import (
     LaplacianPair,
     build_jacobians,
@@ -63,15 +73,18 @@ class ScenarioSpec:
     options: PowerFlowOptions = PowerFlowOptions()
 
     def __post_init__(self) -> None:
-        name = self.name
-        if not name or name[0] == "." or re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name):
-            raise ValidationError(
-                f"scenario: bad value {name!r} for field 'name': it is empty, starts with '.', "
-                "or holds a '/', '\\', ',' or control character")
-        if self.areas_r < 1:
-            raise ValidationError("areas_r must be at least 1")
-        if not self.band_hz[0] < self.band_hz[1]:  # also refuses a NaN edge
-            raise ValidationError("band_hz lo must be below hi")
+        name, areas_r = self.name, self.areas_r
+        is_int = isinstance(areas_r, Integral) and not isinstance(areas_r, bool)
+        check([
+            (isinstance(name, str), f"bad value {name!r} for field 'name': expected a string"),
+            (not isinstance(name, str) or name[:1] not in ("", ".")
+             and not re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name),
+             f"bad value {name!r} for field 'name': it is empty, starts with '.', "
+             "or holds a '/', '\\', ',' or control character"),
+            (is_int, f"bad value {areas_r!r} for field 'areas_r': expected an integer"),
+            (not is_int or areas_r >= 1, "areas_r must be at least 1"),
+            (self.band_hz[0] < self.band_hz[1], "band_hz lo must be below hi"),  # NaN too
+        ])
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -82,42 +95,38 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     reps = []
     for i, e in enumerate(read_field(raw, "replacements", as_list, "scenario")):
         where = f"replacements[{i}]"
-        retire = read_field(e, "retire_sg_bus", as_int, where)
-        gfm_bus = read_field(e, "gfm_bus", as_int, where)
-        params = e.get("gfm_params", Replacement.gfm_params)
+        params = e.get("gfm_params", Replacement.gfm_params) if isinstance(e, dict) else None
+        reps.append(read_record(Replacement, e, where, gfm_params=params))
         _gfm_fields(params, f"{where}.gfm_params")
-        reps.append(Replacement(retire_sg_bus=retire, gfm_bus=gfm_bus, gfm_params=params))
     band = raw.get("band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
-    opts_raw = raw.get("options", {})
-    opts = PowerFlowOptions(
-        tol=read_field(opts_raw, "tol", float, "options", PowerFlowOptions.tol),
-        max_iter=read_field(opts_raw, "max_iter", as_int, "options", PowerFlowOptions.max_iter),
-    )
-    # the key survives only to declare the reactive-path (lossless) model
-    if opts_raw.get("lossless", True) is not True:
-        raise ValidationError(
-            "options.lossless must be true: slow coherency needs the reactive-path reduction"
-        )
-    return ScenarioSpec(
-        name=read_field(raw, "name", str, "scenario"),
+    check_keys(band, {"lo", "hi"}, "band_hz")
+    opts = raw.get("options", {})
+    if isinstance(opts, dict):
+        # the key survives only to declare the reactive-path (lossless) model
+        if opts.get("lossless", True) is not True:
+            raise ValidationError(
+                "options.lossless must be true: slow coherency needs the reactive-path reduction"
+            )
+        opts = {k: v for k, v in opts.items() if k != "lossless"}
+    return read_record(
+        ScenarioSpec, raw, "scenario",
         replacements=reps,
-        areas_r=read_field(raw, "areas_r", as_int, "scenario"),
         band_hz=(read_field(band, "lo", float, "band_hz"),
                  read_field(band, "hi", float, "band_hz")),
-        options=opts,
+        options=read_record(PowerFlowOptions, opts, "options"),
     )
 
 
 def _gfm_fields(params: dict | str, where: str) -> dict:
-    """The GFM fields a replacement's gfm_params set: none for "default".
-    A code-built Replacement and a scenario file both pass through here."""
+    """The GFM fields a replacement's gfm_params set, a null one read as absent:
+    none for "default". Code-built and file replacements both pass here."""
     if params == "default":
         return {}
     if not isinstance(params, dict):
         raise ValidationError(f"{where} must be an object or \"default\"")
     if "bus" in params:  # the placement checks of apply_scenario read gfm_bus only
         raise ValidationError(f"{where}: field 'bus' is not allowed; the GFM sits at gfm_bus")
-    return params
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def apply_scenario(
@@ -189,12 +198,7 @@ def apply_scenario(
             dc_replace(b, kind="slack") if b.id == promoted else b for b in new_buses
         ]
 
-    net2 = Network(
-        base_mva=net.base_mva,
-        f0_hz=net.f0_hz,
-        buses=new_buses,
-        branches=list(net.branches),
-    )
+    net2 = dc_replace(net, buses=new_buses, branches=list(net.branches))
     machines2 = MachineSet(sgs=remaining_sgs, gfms=gfms)
     validate_against_network(machines2, net2)
     return net2, machines2, warnings

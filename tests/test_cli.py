@@ -280,6 +280,32 @@ def test_unsafe_scenario_name_is_validation_error(tmp_path, capsys, name):
      "sgs[0]: bad value inf for field 'd'"),
     ("network", '{"base_mva": 100, "f0_hz": NaN, "buses": [], "branches": []}',
      "network: bad value nan for field 'f0_hz'"),
+    ("network", '{"base_mva": 100, "f0_hz": 60, "branches": [], '
+     '"buses": [{"id": 1, "kind": "slack", "v_setpoint": 1.0, "load_P": 1}]}',
+     "buses[0]: unknown fields ['load_P']"),
+    ("network", '{"base_mva": 100, "f0_hz": 60, '
+     '"buses": [{"id": 1, "kind": "slack", "v_setpoint": 1.0}, {"id": 2, "kind": "pq"}], '
+     '"branches": [{"from": 1, "to": 2, "r": 0, "x": 0.1, "tapp": 1}]}',
+     "branches[0]: unknown fields ['tapp']"),
+    ("network", '{"basemva": 100, "base_mva": 100, "f0_hz": 60, "branches": [], '
+     '"buses": [{"id": 1, "kind": "slack", "v_setpoint": 1.0}]}',
+     "network: unknown fields ['basemva']"),
+    ("machines", '{"sgs": [{"bus": 65, "m": 0.2, "D": 1, "xd_prime": 0.01, "p_set": 5}]}',
+     "sgs[0]: unknown fields ['D']"),
+    ("machines", '{"sgs": [{"bus": 65, "m": 0.2, "xd_prime": 0.01, "p_set": 5}], "gfm": []}',
+     "machines: unknown fields ['gfm']"),
+    ("machines", '{"gfms": [{"bus": 53, "tauu": 0.1}]}', "unknown fields ['tauu']"),
+    ("scenario", '{"name": "x", "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, '
+     '"note": "y"}], "areas_r": 2}', "replacements[0]: unknown fields ['note']"),
+    ("scenario", '{"name": "x", "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, '
+     '"gfm_params": {"tauu": 0.1}}], "areas_r": 2}',
+     "unknown fields ['tauu']"),
+    ("scenario", '{"name": "x", "replacements": [], "areas_r": 2, "options": {"max_iters": 5}}',
+     "options: unknown fields ['max_iters']"),
+    ("scenario", '{"name": "x", "replacements": [], "areas_r": 2, '
+     '"band_hz": {"lo": 0.3, "hi": 1.0, "mid": 0.5}}', "band_hz: unknown fields ['mid']"),
+    ("scenario", '{"name": "x", "replacements": [], "areas_r": 2, "area_r": 2}',
+     "scenario: unknown fields ['area_r']"),
 ])
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, which, content, fragment):
     files = {

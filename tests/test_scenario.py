@@ -113,11 +113,34 @@ def test_scenario_parsing_rejects(raw, fragment):
     (ScenarioSpec, ("x", [], 5), {"band_hz": (float("nan"), 1.0)}, "band_hz lo must be below"),
     (cl.PowerFlowOptions, (), {"tol": 0.0}, "tol positive"),
     (cl.PowerFlowOptions, (), {"tol": float("nan")}, "tol positive"),
-], ids=["name", "areas_r", "band_hz", "band_hz-nan", "tol", "tol-nan"])
+    (ScenarioSpec, (5, [], 2), {}, "field 'name'"),
+    (ScenarioSpec, ("x", [], 2.5), {}, "field 'areas_r'"),
+    (cl.Sg, (), {"bus": 1, "m": 0.0, "d": 0.0, "xd_prime": 0.1, "p_set": 1.0},
+     "m must be positive"),
+    (cl.Gfm, (), {"bus": 1, "lambda_p": 0.0}, "lambda_p must be positive"),
+    (cl.Gfm, (), {"bus": 1, "tau": -1.0}, "tau must be positive"),
+], ids=["name", "areas_r", "band_hz", "band_hz-nan", "tol", "tol-nan",
+        "name-type", "areas_r-type", "sg-m", "gfm-lambda_p", "gfm-tau"])
 def test_code_built_records_check_themselves(record, args, kwargs, fragment):
     """A spec or options record built in code passes the rules a file does."""
     with pytest.raises(ValidationError, match=fragment):
         record(*args, **kwargs)
+
+
+def test_read_record_names_unknown_keys_first():
+    """An undeclared key is refused before any field is read, a record's own
+    rule is prefixed with the entry, and a field the reader cannot cast (a
+    list, a tuple, a nested record) must be given by the loader."""
+    from coherence_lab.errors import read_record
+
+    with pytest.raises(ValidationError, match=r"^sgs\[0\]: unknown fields \['D'\]$"):
+        read_record(cl.Sg, {"bus": "x", "D": 1.0}, "sgs[0]")
+    with pytest.raises(ValidationError, match=r"^sgs\[0\]: m must be positive$"):
+        read_record(cl.Sg, {"bus": 1, "m": 0, "xd_prime": 0.1, "p_set": 1}, "sgs[0]")
+    branch = read_record(cl.Branch, {"from": 1, "to": 2.0, "r": 0, "x": 0.1}, "branches[0]")
+    assert branch == cl.Branch(from_bus=1, to_bus=2, r=0.0, x=0.1)
+    with pytest.raises(TypeError, match="ScenarioSpec.replacements"):
+        read_record(ScenarioSpec, {"name": "x", "replacements": [], "areas_r": 2}, "scenario")
 
 
 def test_negative_max_iter_is_validation_error(net68, ms68):
