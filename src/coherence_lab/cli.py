@@ -106,7 +106,7 @@ def cmd_modeshape(args: argparse.Namespace) -> int:
     try:
         plots = band_mode_plots(doc)
         best = min(plots, key=lambda p: abs(p[2]["freq_hz"] - args.freq), default=None)
-        if best is None or abs(best[2]["freq_hz"] - args.freq) > 0.01:
+        if best is None or not abs(best[2]["freq_hz"] - args.freq) <= 0.01:  # NaN too
             raise ValidationError(
                 f"no mode within 0.01 Hz of {args.freq} Hz in {args.report}"
             )

@@ -6,12 +6,12 @@ triage failures without parsing messages.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-import math
+import sys
 import typing
-from numbers import Integral
+from dataclasses import MISSING, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 
@@ -52,26 +52,19 @@ class InputOutputError(CoherenceLabError):
     exit_code = 4
 
 
-_REQUIRED = object()
-
-
-def read_field(entry, key: str, cast, where: str, default=_REQUIRED):
-    """cast(entry[key]) of one input-file object, or default when the field is
-    absent or null; anything malformed, a NaN or an infinity among them,
-    raises ValidationError naming both."""
+def read_field(entry, key: str, kind, where: str):
+    """entry[key] of one input-file object read as kind (int, float, str or
+    list); a field that is absent or null, or a value that does not fit, a
+    NaN or an infinity among them, raises ValidationError naming both."""
     if not isinstance(entry, dict):
         raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
-    if entry.get(key) is None:
-        if default is _REQUIRED:
-            raise ValidationError(f"{where}: missing field '{key}'")
-        return default
-    try:
-        value = cast(entry[key])
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        raise ValidationError(f"{where}: bad value {entry[key]!r} for field '{key}'") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(
-            f"{where}: bad value {entry[key]!r} for field '{key}': numbers must be finite")
+    value = entry.get(key)
+    if value is None:
+        raise ValidationError(f"{where}: missing field '{key}'")
+    fault, read = _KINDS[kind]
+    value = read(value)
+    if why := fault(value):
+        raise ValidationError(f"{where}: bad value {value!r} for field '{key}': {why}")
     return value
 
 
@@ -90,28 +83,19 @@ def read_json(path: str | Path, what: str) -> dict:
     return raw
 
 
-def as_int(value) -> int:
-    """The cast for read_field of an integer field: an integer, or a float
-    with no fractional part; a bool, a string or 2.9 is refused."""
-    # an int first: the Integral check below is the slow part of a file load
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def as_list(value) -> list:
-    """The cast for read_field of a list field: the value itself when it is
-    a JSON array."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def check(rules: list[tuple[bool, str]]) -> None:
-    """Raise ValidationError naming every broken rule of (ok, rule) pairs."""
-    broken = [rule for ok, rule in rules if not ok]
+def check(record, rules=lambda: ()) -> None:
+    """Raise ValidationError for a dataclass record, naming each field whose
+    value does not fit its declared type and, when every value is at least
+    of the right kind, each broken rule of the (ok, rule) pairs of rules().
+    A NaN or an infinity is of the right kind, so rules() still runs."""
+    broken, typed = [], True
+    for name, key, fault, _, _ in _field_table(type(record))[0]:
+        value = getattr(record, name)
+        if why := fault(value):
+            broken.append(f"bad value {value!r} for field '{key}': {why}")
+            typed = typed and why is _NOT_FINITE
+    if typed:
+        broken += [rule for ok, rule in rules() if not ok]
     if broken:
         raise ValidationError("; ".join(broken))
 
@@ -126,29 +110,88 @@ def check_keys(entry, known, where: str) -> None:
 
 def read_record(cls, entry, where: str, **given):
     """Dataclass cls read from one input-file object: an undeclared key is
-    refused, each field not given is read under its key by its declared
-    type and default, and cls's own ValidationError is prefixed with where."""
+    refused, each field not given is read under its key, an absent or null
+    one left to its default, and cls checks itself; its ValidationError is
+    prefixed with where."""
     table, declared = _field_table(cls)
     check_keys(entry, declared, where)
-    for name, key, cast, default in table:
-        if name not in given:
-            if cast is None:
-                raise TypeError(f"{cls.__name__}.{name} has no cast and must be given")
-            given[name] = read_field(entry, key, cast, where, default)
+    for name, key, _, read, required in table:
+        if name in given:
+            continue
+        if read is None:
+            raise TypeError(f"{cls.__name__}.{name} has no reader and must be given")
+        if (value := entry.get(key)) is not None:
+            given[name] = read(value)
+        elif required:
+            raise ValidationError(f"{where}: missing field '{key}'")
     try:
         return cls(**given)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
+_NOT_FINITE = "numbers must be finite"
+
+
+def _real_fault(value):
+    if type(value) is float and value - value == 0.0:  # a finite float, the common case
+        return None
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return "expected a number"
+    return None if abs(value) <= sys.float_info.max else _NOT_FINITE  # NaN too
+
+
+def _pair_fault(value):
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        return "expected a pair of numbers"
+    whys = {_real_fault(v) for v in value} - {None}
+    return min(whys, key=lambda why: why is _NOT_FINITE, default=None)  # a non-number first
+
+
+def _as_float(value):  # an int read into a float field becomes a float, the value kept
+    return float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
+
+
+# (fault, read) of each kind of value a file holds: fault(value) says why value
+# does not fit, nothing when it does; read is the lossless reading of a file value
+_KINDS = {
+    int: (lambda v: None if type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
+          else "expected an integer",
+          lambda v: int(v) if isinstance(v, float) and v.is_integer() else v),
+    float: (_real_fault, _as_float),
+    float | None: (lambda v: v is not None and _real_fault(v), _as_float),
+    str: (lambda v: None if isinstance(v, str) else "expected a string", lambda v: v),
+    list: (lambda v: None if isinstance(v, list) else "expected a list", lambda v: v),
+}
+
+
+def _rule(hint, key: str):
+    """(fault, read) of a field of no file kind: read is None, for a loader
+    to give the field, unless it is a list of records that can be read."""
+    if typing.get_origin(hint) is tuple:
+        return _pair_fault, None
+    if typing.get_origin(hint) is not list:
+        types = typing.get_args(hint) or hint
+        name = getattr(hint, "__name__", hint)
+        return (lambda v: None if isinstance(v, types) else f"expected {name}"), None
+    (item,) = typing.get_args(hint)
+    readable = all(row[3] for row in _field_table(item)[0])
+    return ((lambda v: None if isinstance(v, list) and all(isinstance(e, item) for e in v)
+             else f"expected a list of {item.__name__}"),
+            # a value that is not a list is left for the type rule to refuse
+            (lambda v: [read_record(item, e, f"{key}[{i}]") for i, e in enumerate(v)]
+             if isinstance(v, list) else v) if readable else None)
+
+
 @functools.cache  # uncached, get_type_hints makes loading a ring grid ~15x slower
 def _field_table(cls):
-    """(name, key, cast, default) of each field of cls set at construction,
-    and the set of keys. A field's key is its name unless its metadata
-    names one; a field whose type has no cast must be given."""
-    hints = typing.get_type_hints(cls)
-    casts = {int: as_int, float: float, float | None: float, str: str}
-    table = tuple((f.name, f.metadata.get("key", f.name), casts.get(hints[f.name]),
-                   _REQUIRED if f.default is dataclasses.MISSING else f.default)
-                  for f in dataclasses.fields(cls) if f.init)
-    return table, frozenset(key for _, key, _, _ in table)
+    """(name, key, fault, read, required) of each field of cls set at
+    construction, and the set of keys. A field's key is its name unless its
+    metadata names one; a field with read None must be given."""
+    hints, table = typing.get_type_hints(cls), []
+    for f in fields(cls):
+        if f.init:
+            key, hint = f.metadata.get("key", f.name), hints[f.name]
+            table.append((f.name, key, *(_KINDS.get(hint) or _rule(hint, key)),
+                          f.default is MISSING and f.default_factory is MISSING))
+    return tuple(table), frozenset(row[1] for row in table)

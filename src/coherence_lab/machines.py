@@ -13,12 +13,12 @@ damping values are rescaled by omega0 where they meet a rad/s signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_list, check, read_field, read_json, read_record
+from .errors import ValidationError, check, read_json, read_record
 from .network import Network
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class Sg:
     d: float = 0.0
 
     def __post_init__(self) -> None:
-        check([(self.m > 0, "m must be positive"),
-               (self.xd_prime > 0, "xd_prime must be positive"),
-               (self.d >= 0, "d must be nonnegative")])
+        check(self, lambda: [(self.m > 0, "m must be positive"),
+                             (self.xd_prime > 0, "xd_prime must be positive"),
+                             (self.d >= 0, "d must be nonnegative")])
 
     def d_internal(self, omega0: float) -> float:
         # pu power per rad/s
@@ -52,11 +52,11 @@ class Gfm:
     q_set: float = 0.0
 
     def __post_init__(self) -> None:
-        check([(self.tau > 0, "tau must be positive"),
-               (self.lambda_p > 0, "lambda_p must be positive"),
-               (self.lambda_q >= 0, "lambda_q must be nonnegative"),
-               (self.kpv >= 0 and self.kiv >= 0, "kpv/kiv must be nonnegative"),
-               (self.v_set > 0, "v_set must be positive")])
+        check(self, lambda: [(self.tau > 0, "tau must be positive"),
+                             (self.lambda_p > 0, "lambda_p must be positive"),
+                             (self.lambda_q >= 0, "lambda_q must be nonnegative"),
+                             (self.kpv >= 0 and self.kiv >= 0, "kpv/kiv must be nonnegative"),
+                             (self.v_set > 0, "v_set must be positive")])
 
     def lambda_p_internal(self, omega0: float) -> float:
         # rad/s of frequency droop per pu of power
@@ -73,14 +73,16 @@ GFM_DEFAULTS = {k: getattr(Gfm, k) for k in ("tau", "lambda_p", "lambda_q", "kpv
 
 @dataclass
 class MachineSet:
-    sgs: list[Sg]
-    gfms: list[Gfm]
+    sgs: list[Sg] = field(default_factory=list)
+    gfms: list[Gfm] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        buses = self.machine_buses
-        dupes = sorted({b for b in buses if buses.count(b) > 1})
-        check([(not dupes, f"more than one machine at bus(es) {dupes}"),
-               (bool(buses), "machine set is empty")])
+        def rules():
+            buses = self.machine_buses
+            dupes = sorted({b for b in buses if buses.count(b) > 1})
+            return [(not dupes, f"more than one machine at bus(es) {dupes}"),
+                    (bool(buses), "machine set is empty")]
+        check(self, rules)
 
     @property
     def fleet(self) -> list[Sg | Gfm]:
@@ -107,19 +109,7 @@ def load_machines(path: str | Path) -> MachineSet:
 
 
 def machines_from_dict(raw: dict) -> MachineSet:
-    return read_record(
-        MachineSet, raw, "machines",
-        sgs=[read_record(Sg, e, f"sgs[{i}]")
-             for i, e in enumerate(read_field(raw, "sgs", as_list, "machines", []))],
-        gfms=[gfm_from_dict(e, f"gfms[{i}]")
-              for i, e in enumerate(read_field(raw, "gfms", as_list, "machines", []))],
-    )
-
-
-def gfm_from_dict(e: dict, where: str = "gfm") -> Gfm:
-    """One GFM, checked by the same rules wherever it comes from: a fleet
-    file or a scenario replacement."""
-    return read_record(Gfm, e, where)
+    return read_record(MachineSet, raw, "machines")
 
 
 def validate_against_network(ms: MachineSet, net: Network) -> None:

@@ -9,15 +9,14 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_int, as_list, read_field, read_json, read_record
-
-BUS_KINDS = ("slack", "pv", "pq")
+from .errors import ValidationError, check, read_json, read_record
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,15 @@ class Bus:
     shunt_g: float = 0.0
     shunt_b: float = 0.0
 
+    def __post_init__(self) -> None:
+        check(self, lambda: [
+            (self.kind in ("slack", "pv", "pq"), f"bus {self.id}: bad kind {self.kind!r}"),
+            (self.kind not in ("slack", "pv") or self.v_setpoint is not None,
+             f"bus {self.id}: kind {self.kind} requires v_setpoint"),
+            (self.v_setpoint is None or self.v_setpoint > 0,
+             f"bus {self.id}: v_setpoint must be positive"),
+        ])
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -40,6 +48,18 @@ class Branch:
     b_charging: float = 0.0
     tap: float = 1.0
 
+    def __post_init__(self) -> None:
+        name = f"branch {self.from_bus}-{self.to_bus}"
+        check(self, lambda: [
+            (self.from_bus != self.to_bus, f"{name}: self loop"),
+            (self.r != 0.0 or self.x != 0.0, f"{name}: zero impedance"),
+            # the lossless stamp is 1/(jx), and every stamp divides by tap^2
+            (self.r == 0.0 or self.x != 0.0, f"{name}: x must be nonzero"),
+            (self.tap > 0, f"{name}: tap must be positive"),
+            (self.tap <= 0 or 0.0 < self.tap * self.tap < math.inf,
+             f"{name}: tap {self.tap!r} is out of range"),
+        ])
+
 
 @dataclass
 class Network:
@@ -47,10 +67,24 @@ class Network:
     f0_hz: float
     buses: list[Bus]
     branches: list[Branch]
-    index_of: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.index_of = {b.id: i for i, b in enumerate(self.buses)}
+        check(self, lambda: [
+            (self.base_mva > 0, "base_mva must be positive"),
+            (self.f0_hz > 0, "f0_hz must be positive"),
+            *[(False, f"duplicate bus id {b.id}")  # index_of keeps the last of each id
+              for i, b in enumerate(self.buses) if self.index_of[b.id] != i],
+            ((n_slack := [b.kind for b in self.buses].count("slack")) == 1,
+             f"expected exactly one slack bus, found {n_slack}"),
+            *[(False, f"branch {br.from_bus}-{br.to_bus}: endpoint not a bus")
+              for br in self.branches
+              if br.from_bus not in self.index_of or br.to_bus not in self.index_of],
+        ])
+
+    @functools.cached_property
+    def index_of(self) -> dict[int, int]:
+        """The position of each bus id in file order."""
+        return {b.id: i for i, b in enumerate(self.buses)}
 
     @property
     def n_bus(self) -> int:
@@ -71,10 +105,7 @@ class Network:
             raise ValidationError(f"unknown bus id {bus_id}") from None
 
     def slack_id(self) -> int:
-        for b in self.buses:
-            if b.kind == "slack":
-                return b.id
-        raise ValidationError("network has no slack bus")
+        return next(b.id for b in self.buses if b.kind == "slack")
 
 
 def load_network(path: str | Path) -> Network:
@@ -83,54 +114,7 @@ def load_network(path: str | Path) -> Network:
 
 
 def network_from_dict(raw: dict) -> Network:
-    buses = []
-    for i, entry in enumerate(read_field(raw, "buses", as_list, "network")):
-        where = f"buses[{i}]"
-        bus_id = read_field(entry, "id", as_int, where)
-        kind = entry.get("kind")
-        if kind not in BUS_KINDS:
-            raise ValidationError(f"bus {bus_id}: bad kind {kind!r}")
-        buses.append(read_record(Bus, entry, where, id=bus_id, kind=kind))
-    branches = [read_record(Branch, e, f"branches[{i}]")
-                for i, e in enumerate(read_field(raw, "branches", as_list, "network"))]
-    net = read_record(Network, raw, "network", buses=buses, branches=branches)
-    _validate(net)
-    return net
-
-
-def _validate(net: Network) -> None:
-    errors: list[str] = []
-    if net.base_mva <= 0:
-        errors.append("base_mva must be positive")
-    if net.f0_hz <= 0:
-        errors.append("f0_hz must be positive")
-    seen: set[int] = set()
-    for b in net.buses:
-        if b.id in seen:
-            errors.append(f"duplicate bus id {b.id}")
-        seen.add(b.id)
-        if b.kind in ("slack", "pv") and b.v_setpoint is None:
-            errors.append(f"bus {b.id}: kind {b.kind} requires v_setpoint")
-        if b.v_setpoint is not None and b.v_setpoint <= 0:
-            errors.append(f"bus {b.id}: v_setpoint must be positive")
-    n_slack = sum(1 for b in net.buses if b.kind == "slack")
-    if n_slack != 1:
-        errors.append(f"expected exactly one slack bus, found {n_slack}")
-    for br in net.branches:
-        if br.from_bus not in seen or br.to_bus not in seen:
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: endpoint not a bus")
-        if br.from_bus == br.to_bus:
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: self loop")
-        if br.r == 0.0 and br.x == 0.0:
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
-        elif br.x == 0.0:  # the lossless stamp is 1/(jx)
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: x must be nonzero")
-        if br.tap <= 0:
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: tap must be positive")
-        elif not 0.0 < br.tap * br.tap < math.inf:  # the stamp divides by tap^2
-            errors.append(f"branch {br.from_bus}-{br.to_bus}: tap {br.tap!r} is out of range")
-    if errors:
-        raise ValidationError("network validation failed: " + "; ".join(errors))
+    return read_record(Network, raw, "network")
 
 
 def build_admittance(net: Network, lossless: bool = False) -> np.ndarray:
@@ -149,7 +133,7 @@ def build_admittance(net: Network, lossless: bool = False) -> np.ndarray:
         rows += (f, t, f, t)
         cols += (f, t, t, f)
         vals += ((ys + yc) / br.tap**2, ys + yc, -(ys / br.tap), -(ys / br.tap))
-    diag = [net.index_of[b.id] for b in net.buses]
+    diag = list(range(net.n_bus))  # bus ids are unique, so buses sit in file order
     vals += [complex(0.0 if lossless else b.shunt_g, b.shunt_b) for b in net.buses]
     y = np.zeros((net.n_bus, net.n_bus), dtype=complex)
     np.add.at(y, (rows + diag, cols + diag), np.array(vals, dtype=complex))

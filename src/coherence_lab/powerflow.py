@@ -26,8 +26,8 @@ class PowerFlowOptions:
     max_iter: int = 30
 
     def __post_init__(self) -> None:
-        check([(self.max_iter >= 0 and self.tol > 0,  # also refuses a NaN tol
-                "max_iter must be nonnegative and tol positive")])
+        check(self, lambda: [(self.max_iter >= 0 and self.tol > 0,  # also refuses a NaN tol
+                              "max_iter must be nonnegative and tol positive")])
 
 
 @dataclass
@@ -94,16 +94,12 @@ def solve_power_flow(
         )
 
     ybus = build_admittance(net)
-    n = net.n_bus
     kinds = np.array([b.kind for b in net.buses])
     pq = np.flatnonzero(kinds == "pq")
     pvpq = np.flatnonzero(kinds != "slack")
 
-    vm = np.ones(n)
-    va = np.zeros(n)
-    for b in net.buses:
-        if b.v_setpoint is not None:
-            vm[net.index_of[b.id]] = b.v_setpoint
+    vm = np.array([1.0 if b.v_setpoint is None else b.v_setpoint for b in net.buses], dtype=float)
+    va = np.zeros(net.n_bus)
 
     p_spec, q_spec = _scheduled_injections(net, machines)
     s_spec = p_spec + 1j * q_spec

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .coherency import (
 from .errors import (
     CoherenceLabError,
     ValidationError,
-    as_list,
     check,
     check_keys,
     read_field,
@@ -47,7 +45,7 @@ from .linearize import (
     kron_reduce,
     state_matrix,
 )
-from .machines import Gfm, MachineSet, gfm_from_dict, load_machines, validate_against_network
+from .machines import Gfm, MachineSet, load_machines, validate_against_network
 from .network import Bus, Network, load_network
 from .powerflow import (
     OperatingPoint,
@@ -63,6 +61,9 @@ class Replacement:
     gfm_bus: int
     gfm_params: dict | str = "default"
 
+    def __post_init__(self) -> None:
+        check(self)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -73,16 +74,12 @@ class ScenarioSpec:
     options: PowerFlowOptions = PowerFlowOptions()
 
     def __post_init__(self) -> None:
-        name, areas_r = self.name, self.areas_r
-        is_int = isinstance(areas_r, Integral) and not isinstance(areas_r, bool)
-        check([
-            (isinstance(name, str), f"bad value {name!r} for field 'name': expected a string"),
-            (not isinstance(name, str) or name[:1] not in ("", ".")
-             and not re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", name),
-             f"bad value {name!r} for field 'name': it is empty, starts with '.', "
+        check(self, lambda: [
+            (self.name[:1] not in ("", ".")
+             and not re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", self.name),
+             f"bad value {self.name!r} for field 'name': it is empty, starts with '.', "
              "or holds a '/', '\\', ',' or control character"),
-            (is_int, f"bad value {areas_r!r} for field 'areas_r': expected an integer"),
-            (not is_int or areas_r >= 1, "areas_r must be at least 1"),
+            (self.areas_r >= 1, "areas_r must be at least 1"),
             (self.band_hz[0] < self.band_hz[1], "band_hz lo must be below hi"),  # NaN too
         ])
 
@@ -93,11 +90,10 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
     reps = []
-    for i, e in enumerate(read_field(raw, "replacements", as_list, "scenario")):
-        where = f"replacements[{i}]"
+    for i, e in enumerate(read_field(raw, "replacements", list, "scenario")):
         params = e.get("gfm_params", Replacement.gfm_params) if isinstance(e, dict) else None
-        reps.append(read_record(Replacement, e, where, gfm_params=params))
-        _gfm_fields(params, f"{where}.gfm_params")
+        reps.append(read_record(Replacement, e, f"replacements[{i}]", gfm_params=params))
+        _new_gfm(reps[-1], i)  # its gfm_params are checked now, before any power flow
     band = raw.get("band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
     check_keys(band, {"lo", "hi"}, "band_hz")
     opts = raw.get("options", {})
@@ -117,16 +113,18 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     )
 
 
-def _gfm_fields(params: dict | str, where: str) -> dict:
-    """The GFM fields a replacement's gfm_params set, a null one read as absent:
-    none for "default". Code-built and file replacements both pass here."""
-    if params == "default":
-        return {}
+def _new_gfm(rep: Replacement, i: int, **solved: float) -> Gfm:
+    """The GFM that replacement i installs at its gfm_bus: its gfm_params,
+    a null one read as absent, over the solved set-points given and the Gfm
+    defaults. Code-built and file replacements both pass here."""
+    where = f"replacements[{i}].gfm_params"
+    params = {} if rep.gfm_params == "default" else rep.gfm_params
     if not isinstance(params, dict):
         raise ValidationError(f"{where} must be an object or \"default\"")
     if "bus" in params:  # the placement checks of apply_scenario read gfm_bus only
         raise ValidationError(f"{where}: field 'bus' is not allowed; the GFM sits at gfm_bus")
-    return {k: v for k, v in params.items() if v is not None}
+    given = {k: v for k, v in params.items() if v is not None}
+    return read_record(Gfm, {"bus": rep.gfm_bus, **solved, **given}, where)
 
 
 def apply_scenario(
@@ -168,12 +166,8 @@ def apply_scenario(
         p_solved = base_sol.p_inj[k] + bus.load_p
         q_solved = base_sol.q_inj[k] + bus.load_q
         v_here = float(np.abs(base_sol.v[net.index_of[rep.gfm_bus]]))
-        where = f"replacements[{i}].gfm_params"
-        entry = {"bus": rep.gfm_bus, **_gfm_fields(rep.gfm_params, where)}
-        entry.setdefault("p_set", round(float(p_solved), 12))
-        entry.setdefault("q_set", round(float(q_solved), 12))
-        entry.setdefault("v_set", round(v_here, 12))
-        new_gfms.append(gfm_from_dict(entry, where))
+        new_gfms.append(_new_gfm(rep, i, p_set=round(float(p_solved), 12),
+                                 q_set=round(float(q_solved), 12), v_set=round(v_here, 12)))
         occupied.add(rep.gfm_bus)
 
     slack = net.slack_id()

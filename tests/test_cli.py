@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -158,7 +159,8 @@ def test_modeshape_from_report(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_modeshape_no_match(tmp_path, capsys):
+@pytest.mark.parametrize("freq", ["99.0", "nan"])
+def test_modeshape_no_match(tmp_path, capsys, freq):
     out = tmp_path / "o"
     run_cli([
         "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
@@ -166,7 +168,7 @@ def test_modeshape_no_match(tmp_path, capsys):
     ])
     rc = run_cli([
         "modeshape", "--report", out / "base.report.json",
-        "--freq", "99.0", "--out", tmp_path / "m.svg",
+        "--freq", freq, "--out", tmp_path / "m.svg",
     ])
     captured = capsys.readouterr()
     assert rc == 1
@@ -242,6 +244,30 @@ def test_gfm_params_bus_is_validation_error(tmp_path, capsys, bus):
     assert rc == 1
     assert "replacements[0].gfm_params: field 'bus'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("params, fragment", [
+    ({"tauu": 0.1}, r"unknown fields \['tauu'\]"),
+    ({"tau": -1.0}, "tau must be positive"),
+])
+def test_gfm_params_are_checked_at_load(tmp_path, capsys, monkeypatch, params, fragment):
+    """A replacement's gfm_params pass the GFM rules when the scenario is
+    loaded, so a bad key or value costs no base-case power flow."""
+    calls = []
+    solve = coherence_lab.scenario.solve_power_flow
+    monkeypatch.setattr(coherence_lab.scenario, "solve_power_flow",
+                        lambda *a: calls.append(1) or solve(*a))
+    spec = json.loads((DATA / "scenario1.json").read_text())
+    spec["replacements"][0]["gfm_params"] = params
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    rc = run_cli([
+        "run", "--network", DATA / "network.json", "--machines", DATA / "machines.json",
+        "--scenario", sp, "--out", tmp_path / "o",
+    ])
+    assert rc == 1
+    assert re.search(r"replacements\[0\]\.gfm_params: " + fragment, capsys.readouterr().err)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["../escaped", "a,b"])

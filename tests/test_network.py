@@ -151,6 +151,12 @@ def test_connectivity_split_network():
     (lambda d: d.update(buses=5), "network: bad value 5 for field 'buses'"),
     (lambda d: d.update(branches={"from": 1, "to": 2}), "field 'branches'"),
     (lambda d: d.update(base_mva="big"), "network: bad value 'big' for field 'base_mva'"),
+    (lambda d: d["buses"][1].update(load_p="0.5"),
+     r"buses\[1\]: bad value '0.5' for field 'load_p': expected a number"),
+    (lambda d: d["buses"][1].update(load_q=True),
+     r"buses\[1\]: bad value True for field 'load_q': expected a number"),
+    (lambda d: d.update(base_mva="100"), "network: bad value '100' for field 'base_mva'"),
+    (lambda d: d["buses"][1].update(kind=5), r"buses\[1\]: bad value 5 for field 'kind'"),
 ])
 def test_validation_rejects(mutate, fragment):
     d = {

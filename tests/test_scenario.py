@@ -4,6 +4,7 @@ and batch execution."""
 import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ def test_scenario_parsing_roundtrip():
      "band_hz: expected an object, got int"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": None},
      "options: expected an object, got NoneType"),
+    ({"name": 5, "replacements": [], "areas_r": 2},
+     "scenario: bad value 5 for field 'name': expected a string"),
+    ({"name": "x", "replacements": [], "areas_r": "2"},
+     "scenario: bad value '2' for field 'areas_r': expected an integer"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": {"lo": "0.3", "hi": 1.0}},
+     "band_hz: bad value '0.3' for field 'lo': expected a number"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"tol": True}},
+     "options: bad value True for field 'tol': expected a number"),
+    ({"name": "x", "areas_r": 2,
+      "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"tauu": 0.1}}]},
+     r"replacements\[0\]\.gfm_params: unknown fields \['tauu'\]"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -119,18 +131,38 @@ def test_scenario_parsing_rejects(raw, fragment):
      "m must be positive"),
     (cl.Gfm, (), {"bus": 1, "lambda_p": 0.0}, "lambda_p must be positive"),
     (cl.Gfm, (), {"bus": 1, "tau": -1.0}, "tau must be positive"),
+    (ScenarioSpec, ("x", [], 2), {"band_hz": 5}, "field 'band_hz': expected a pair of numbers"),
+    (cl.Sg, (), {"bus": 1, "m": "a", "xd_prime": 0.1, "p_set": 1.0},
+     "bad value 'a' for field 'm': expected a number"),
+    (cl.PowerFlowOptions, (), {"max_iter": 2.5}, "field 'max_iter': expected an integer"),
+    (cl.Bus, (53, "pv"), {}, "bus 53: kind pv requires v_setpoint"),
+    (cl.Network, (100.0, -60.0, [cl.Bus(1, "slack", 1.0)], []), {}, "f0_hz must be positive"),
+    (cl.Network, (100.0, 60.0, [cl.Bus(1, "slack", 1.0)], [cl.Branch(1, 999, 0.0, 0.1)]), {},
+     "branch 1-999: endpoint not a bus"),
+    (cl.Branch, (1, 2, 0.0, 0.1), {"tap": 0.0}, "branch 1-2: tap must be positive"),
+    (cl.Branch, (1, 2, 0.0, 0.0), {}, "branch 1-2: zero impedance"),
+    (cl.Bus, (2, "pq"), {"load_p": "0.5"}, "bad value '0.5' for field 'load_p': expected a number"),
+    (cl.Network, (100.0, 60.0, [cl.Bus(1, "slack", 1.0), cl.Bus(1, "pq")], []), {},
+     "duplicate bus id 1"),
+    (cl.Network, (100.0, 60.0, [cl.Bus(1, "slack", 1.0), cl.Bus(2, "slack", 1.0)], []), {},
+     "expected exactly one slack bus, found 2"),
+    (cl.Bus, (1, "weird"), {}, "bus 1: bad kind 'weird'"),
 ], ids=["name", "areas_r", "band_hz", "band_hz-nan", "tol", "tol-nan",
-        "name-type", "areas_r-type", "sg-m", "gfm-lambda_p", "gfm-tau"])
+        "name-type", "areas_r-type", "sg-m", "gfm-lambda_p", "gfm-tau",
+        "band_hz-type", "sg-m-type", "max_iter-type", "pv-without-v_setpoint", "f0_hz",
+        "endpoint", "tap", "zero-impedance", "load_p-type", "duplicate-id", "two-slacks",
+        "bus-kind"])
 def test_code_built_records_check_themselves(record, args, kwargs, fragment):
-    """A spec or options record built in code passes the rules a file does."""
+    """A record built in code passes the rules a file does."""
     with pytest.raises(ValidationError, match=fragment):
         record(*args, **kwargs)
 
 
 def test_read_record_names_unknown_keys_first():
     """An undeclared key is refused before any field is read, a record's own
-    rule is prefixed with the entry, and a field the reader cannot cast (a
-    list, a tuple, a nested record) must be given by the loader."""
+    rule is prefixed with the entry, and a field the reader cannot read (a
+    tuple, a nested record, a list of records it cannot read) must be given
+    by the loader."""
     from coherence_lab.errors import read_record
 
     with pytest.raises(ValidationError, match=r"^sgs\[0\]: unknown fields \['D'\]$"):
@@ -141,6 +173,53 @@ def test_read_record_names_unknown_keys_first():
     assert branch == cl.Branch(from_bus=1, to_bus=2, r=0.0, x=0.1)
     with pytest.raises(TypeError, match="ScenarioSpec.replacements"):
         read_record(ScenarioSpec, {"name": "x", "replacements": [], "areas_r": 2}, "scenario")
+
+
+# a valid instance of each input record with a scalar field, as keyword
+# arguments; MachineSet has none
+VALID = {
+    cl.Bus: {"id": 2, "kind": "pv", "v_setpoint": 1.0},
+    cl.Branch: {"from_bus": 1, "to_bus": 2, "r": 0.0, "x": 0.1},
+    cl.Network: {"base_mva": 100.0, "f0_hz": 60.0,
+                 "buses": [cl.Bus(1, "slack", 1.0)], "branches": []},
+    cl.Sg: {"bus": 1, "m": 0.1, "xd_prime": 0.1, "p_set": 1.0},
+    cl.Gfm: {"bus": 1},
+    Replacement: {"retire_sg_bus": 1, "gfm_bus": 2, "gfm_params": "default"},
+    ScenarioSpec: {"name": "x", "replacements": [], "areas_r": 2,
+                   "band_hz": (0.3, 1.0), "options": cl.PowerFlowOptions()},
+    cl.PowerFlowOptions: {},
+}
+SCALAR_FIELDS = {cls: [f for f in dataclasses.fields(cls)
+                       if typing.get_type_hints(cls)[f.name] in (int, float, float | None, str)]
+                 for cls in VALID}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([(cls, f) for cls, fs in SCALAR_FIELDS.items() for f in fs]),
+       st.sampled_from(["x", True, [], 2.5, float("nan"), float("inf")]))
+def test_code_and_file_records_pass_the_same_rules(cls_field, value):
+    """The code-side twin of the CLI's mutated-input test: one scalar field
+    of a valid record set to an odd value, the record built in code and read
+    by read_record from the same JSON value both accept it or both raise
+    ValidationError, and nothing else escapes. (None is left out: a file
+    reads null as absent.)"""
+    from coherence_lab.errors import read_record
+
+    cls, field = cls_field
+    kwargs = {**VALID[cls], field.name: value}
+    scalars = {f.name: f.metadata.get("key", f.name) for f in SCALAR_FIELDS[cls]}
+    entry = json.loads(json.dumps({key: kwargs[name] for name, key in scalars.items()
+                                   if name in kwargs}))
+    loader_given = {name: v for name, v in kwargs.items() if name not in scalars}
+    outcomes = []
+    for build in (lambda: cls(**kwargs),
+                  lambda: read_record(cls, entry, "entry", **loader_given)):
+        try:
+            build()
+            outcomes.append("accepted")
+        except ValidationError:
+            outcomes.append("refused")
+    assert outcomes[0] == outcomes[1]
 
 
 def test_negative_max_iter_is_validation_error(net68, ms68):
