@@ -86,8 +86,10 @@ def read_json(path: str | Path, what: str) -> dict:
 def check(record, rules=lambda: ()) -> None:
     """Raise ValidationError for a dataclass record, naming each field whose
     value does not fit its declared type and, when every value is at least
-    of the right kind, each broken rule of the (ok, rule) pairs of rules().
-    A NaN or an infinity is of the right kind, so rules() still runs."""
+    of the right kind, each broken rule of the (ok, message, *args) tuples
+    of rules(). A NaN or an infinity is of the right kind, so rules() still
+    runs. The message is a str.format template filled with args only when
+    its rule is broken, so a record that holds every rule formats nothing."""
     broken, typed = [], True
     for name, key, fault, _, _ in _field_table(type(record))[0]:
         value = getattr(record, name)
@@ -95,7 +97,7 @@ def check(record, rules=lambda: ()) -> None:
             broken.append(f"bad value {value!r} for field '{key}': {why}")
             typed = typed and why is _NOT_FINITE
     if typed:
-        broken += [rule for ok, rule in rules() if not ok]
+        broken += [rule[1].format(*rule[2:]) for rule in rules() if not rule[0]]
     if broken:
         raise ValidationError("; ".join(broken))
 

@@ -241,18 +241,34 @@ class JacobianBlocks:
 
     GFM frequency rows see neither machine angles nor magnitudes, so a1 is
     nonzero only on its SG diagonal and no frequency-row magnitude block
-    exists. q_rows (n_gfm x 2N) is dQ/dV at the GFM buses, the part of the
-    network Jacobian that the GFM voltage loop of the state matrix reads.
+    exists. q_rows and vm_rows (n_gfm x 2N) are dQ/dV and d|V|/dV at the
+    GFM buses, the parts of the network Jacobian that the GFM voltage loop
+    of the state matrix reads. a3 and a34 are the leading columns of
+    rhs = [a3 | a34 | probes], the right-hand side of the one solve
+    against a33 (see _reduce), built once.
+
+    The blocks keep the model's variant, fleet and nominal frequency, not
+    the model itself, so its dense admittance matrix is freed with it.
     """
 
-    model: LinearModel
+    variant: str
+    machines: MachineSet
+    omega0: float
     a1: np.ndarray
     a2: np.ndarray
-    a3: np.ndarray
     a33: np.ndarray
-    a34: np.ndarray
+    rhs: np.ndarray
     q_rows: np.ndarray
+    vm_rows: np.ndarray
     m_e: np.ndarray  # diagonal entries
+
+    @property
+    def a3(self) -> np.ndarray:
+        return self.rhs[:, : self.a1.shape[0]]
+
+    @property
+    def a34(self) -> np.ndarray:
+        return self.rhs[:, self.a1.shape[0] : self.a1.shape[0] + self.q_rows.shape[0]]
 
 
 def _network_power_jacobian(model: LinearModel):
@@ -293,7 +309,9 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 
     a1 = np.zeros((n_r, n_r))
     a2 = np.zeros((n_r, 2 * n))
-    a3 = np.zeros((2 * n, n_r))
+    rhs = np.zeros((2 * n, n_r + n_gfm + COND_PROBES))
+    a3, a34 = rhs[:, :n_r], rhs[:, n_r : n_r + n_gfm]
+    rhs[:, n_r + n_gfm :] = np.random.default_rng(0).standard_normal((2 * n, COND_PROBES))
     sg, i_sg = model.sg_idx, np.arange(n_sg)
     gp, e = model.sg_gp, op.e[:n_sg]
     sd, cd = np.sin(op.delta[:n_sg]), np.cos(op.delta[:n_sg])
@@ -323,12 +341,16 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     a2[n_sg + j_row[p_on], cols[p_on]] = -d_pq[p_on]
     q_rows = np.zeros((n_gfm, 2 * n))
     q_rows[j_row[q_on], cols[q_on]] = d_pq[q_on]
+    v = model.v_point[gfm]
+    vm = np.abs(v)
+    vm_rows = np.zeros((n_gfm, 2 * n))
+    vm_rows[j_gfm, gfm] = v.real / vm
+    vm_rows[j_gfm, n + gfm] = v.imag / vm
     # constraint rows V - E exp(j delta) replace the bus balance
     a33[gfm, :] = a33[n + gfm, :] = 0.0
     a33[gfm, gfm] = a33[n + gfm, n + gfm] = 1.0
     a3[gfm, n_sg + j_gfm] = e * sd
     a3[n + gfm, n_sg + j_gfm] = -e * cd
-    a34 = np.zeros((2 * n, n_gfm))
     a34[gfm, j_gfm] = -cd
     a34[n + gfm, j_gfm] = -sd
 
@@ -338,13 +360,15 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     )
 
     return JacobianBlocks(
-        model=model,
+        variant=model.variant,
+        machines=machines,
+        omega0=omega0,
         a1=a1,
         a2=a2,
-        a3=a3,
         a33=a33,
-        a34=a34,
+        rhs=rhs,
         q_rows=q_rows,
+        vm_rows=vm_rows,
         m_e=m_e,
     )
 
@@ -375,13 +399,13 @@ def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     cond_1(A33) (Dixon 1983), costs O(N^2) on top of the factorization.
     """
     a33 = blocks.a33
-    n_r = blocks.a3.shape[1]
-    n_rhs = n_r + blocks.a34.shape[1]
-    probes = np.random.default_rng(0).standard_normal((a33.shape[0], COND_PROBES))
+    n_r = blocks.a1.shape[0]
+    n_rhs = n_r + blocks.q_rows.shape[0]
     try:
-        x = np.linalg.solve(a33, np.hstack([blocks.a3, blocks.a34, probes]))
+        x = np.linalg.solve(a33, blocks.rhs)
     except np.linalg.LinAlgError:
         raise PipelineError("algebraic block is singular; cannot reduce") from None
+    probes = blocks.rhs[:, n_rhs:]
     growth = np.abs(x[:, n_rhs:]).sum(axis=0) / np.abs(probes).sum(axis=0)
     cond = float(np.abs(a33).sum(axis=0).max() * growth.max())
     if not cond <= COND_WARN_LIMIT:  # also catches a NaN estimate
@@ -391,7 +415,7 @@ def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             RuntimeWarning,
             stacklevel=3,
         )
-    x = x[:, :n_rhs].copy()  # contiguous, as a solve without probes returns
+    x = x[:, :n_rhs]  # the probe columns dropped
     l = blocks.a1 - blocks.a2 @ x[:, :n_r]
     # subtracted from zeros, not negated, so an exact zero stays +0
     feed = np.zeros((n_r, n_rhs - n_r)) - blocks.a2 @ x[:, n_r:]
@@ -408,9 +432,9 @@ def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     return LaplacianPair(
         l=l,
         m_e=blocks.m_e.copy(),
-        machine_order=blocks.model.machines.machine_buses,
+        machine_order=blocks.machines.machine_buses,
         feedthrough_e=feed,
-        variant=blocks.model.variant,
+        variant=blocks.variant,
     )
 
 
@@ -455,18 +479,15 @@ def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
     produces the Laplacian, so the angle block of this matrix is
     M_e^{-1} L with the dispatch-variant L.
     """
-    model = blocks.model
-    machines = model.machines
-    n = model.n_bus
-    n_sg, n_gfm = model.n_sg, model.n_gfm
-    n_r = n_sg + n_gfm
-
+    machines = blocks.machines
+    n_r, n_gfm = blocks.a1.shape[0], blocks.q_rows.shape[0]
+    nx = 2 * n_r + 2 * n_gfm
+    # allocated before the reduction, so that the state matrix, which an
+    # eigensolve may hold for a while, does not sit above its temporaries
+    a = np.zeros((nx, nx))
     l, feed, x = _reduce(blocks)
     x3, x4 = x[:, :n_r], x[:, n_r:]
 
-    omega0 = model.net.omega0
-    nx = 2 * n_r + 2 * n_gfm
-    a = np.zeros((nx, nx))
     sl_d = slice(0, n_r)
     sl_w = slice(n_r, 2 * n_r)
     sl_e = slice(2 * n_r + n_gfm, nx)
@@ -476,22 +497,17 @@ def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
     a[sl_w, sl_e] = feed / blocks.m_e[:, None]
     tau, lam_q, kpv, kiv = machines.gfm_arrays("tau", "lambda_q", "kpv", "kiv")
     a[sl_w, sl_w] = np.diag(
-        [-m.d_internal(omega0) / m.m for m in machines.sgs] + [-1.0 / t for t in tau])
+        [-m.d_internal(blocks.omega0) / m.m for m in machines.sgs] + [-1.0 / t for t in tau])
 
-    gfm, j = model.gfm_idx, np.arange(n_gfm)
-    v = model.v_point[gfm]
-    vm = np.abs(v)
-    h_vm = np.zeros((n_gfm, 2 * n))
-    h_vm[j, gfm] = v.real / vm
-    h_vm[j, n + gfm] = v.imag / vm
     # d(ve)/dt falls with |V| and Q, and dV/d(delta, E) = -X: the two
     # signs cancel
-    rows_v = (h_vm + lam_q[:, None] * blocks.q_rows) / tau[:, None]
+    rows_v = (blocks.vm_rows + lam_q[:, None] * blocks.q_rows) / tau[:, None]
     # one vector-matrix product per row: a stacked rows_v @ x3 sums in
     # another order and moves the last bits of the state matrix
     ve_d, ve_e = np.zeros((n_gfm, n_r)), np.zeros((n_gfm, n_gfm))
     for i, row in enumerate(rows_v):
         ve_d[i], ve_e[i] = row @ x3, row @ x4
+    j = np.arange(n_gfm)
     r_v, r_e = 2 * n_r + j, 2 * n_r + n_gfm + j
     a[r_v, sl_d] = ve_d
     a[r_v, sl_e] += ve_e

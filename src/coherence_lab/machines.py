@@ -80,7 +80,7 @@ class MachineSet:
         def rules():
             buses = self.machine_buses
             dupes = sorted({b for b in buses if buses.count(b) > 1})
-            return [(not dupes, f"more than one machine at bus(es) {dupes}"),
+            return [(not dupes, "more than one machine at bus(es) {}", dupes),
                     (bool(buses), "machine set is empty")]
         check(self, rules)
 

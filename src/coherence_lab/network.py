@@ -31,11 +31,11 @@ class Bus:
 
     def __post_init__(self) -> None:
         check(self, lambda: [
-            (self.kind in ("slack", "pv", "pq"), f"bus {self.id}: bad kind {self.kind!r}"),
+            (self.kind in ("slack", "pv", "pq"), "bus {0.id}: bad kind {0.kind!r}", self),
             (self.kind not in ("slack", "pv") or self.v_setpoint is not None,
-             f"bus {self.id}: kind {self.kind} requires v_setpoint"),
+             "bus {0.id}: kind {0.kind} requires v_setpoint", self),
             (self.v_setpoint is None or self.v_setpoint > 0,
-             f"bus {self.id}: v_setpoint must be positive"),
+             "bus {0.id}: v_setpoint must be positive", self),
         ])
 
 
@@ -49,15 +49,16 @@ class Branch:
     tap: float = 1.0
 
     def __post_init__(self) -> None:
-        name = f"branch {self.from_bus}-{self.to_bus}"
         check(self, lambda: [
-            (self.from_bus != self.to_bus, f"{name}: self loop"),
-            (self.r != 0.0 or self.x != 0.0, f"{name}: zero impedance"),
+            (self.from_bus != self.to_bus, "branch {0.from_bus}-{0.to_bus}: self loop", self),
+            (self.r != 0.0 or self.x != 0.0, "branch {0.from_bus}-{0.to_bus}: zero impedance",
+             self),
             # the lossless stamp is 1/(jx), and every stamp divides by tap^2
-            (self.r == 0.0 or self.x != 0.0, f"{name}: x must be nonzero"),
-            (self.tap > 0, f"{name}: tap must be positive"),
+            (self.r == 0.0 or self.x != 0.0, "branch {0.from_bus}-{0.to_bus}: x must be nonzero",
+             self),
+            (self.tap > 0, "branch {0.from_bus}-{0.to_bus}: tap must be positive", self),
             (self.tap <= 0 or 0.0 < self.tap * self.tap < math.inf,
-             f"{name}: tap {self.tap!r} is out of range"),
+             "branch {0.from_bus}-{0.to_bus}: tap {0.tap!r} is out of range", self),
         ])
 
 
@@ -72,11 +73,11 @@ class Network:
         check(self, lambda: [
             (self.base_mva > 0, "base_mva must be positive"),
             (self.f0_hz > 0, "f0_hz must be positive"),
-            *[(False, f"duplicate bus id {b.id}")  # index_of keeps the last of each id
+            *[(False, "duplicate bus id {}", b.id)  # index_of keeps the last of each id
               for i, b in enumerate(self.buses) if self.index_of[b.id] != i],
             ((n_slack := [b.kind for b in self.buses].count("slack")) == 1,
-             f"expected exactly one slack bus, found {n_slack}"),
-            *[(False, f"branch {br.from_bus}-{br.to_bus}: endpoint not a bus")
+             "expected exactly one slack bus, found {}", n_slack),
+            *[(False, "branch {}-{}: endpoint not a bus", br.from_bus, br.to_bus)
               for br in self.branches
               if br.from_bus not in self.index_of or br.to_bus not in self.index_of],
         ])

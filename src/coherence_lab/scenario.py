@@ -10,7 +10,9 @@ scenario rows aligned into the slots of the machines they replace.
 
 from __future__ import annotations
 
+import os
 import re
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
@@ -77,8 +79,8 @@ class ScenarioSpec:
         check(self, lambda: [
             (self.name[:1] not in ("", ".")
              and not re.search(r"[/\\,\x00-\x1f\x7f-\x9f]", self.name),
-             f"bad value {self.name!r} for field 'name': it is empty, starts with '.', "
-             "or holds a '/', '\\', ',' or control character"),
+             "bad value {0.name!r} for field 'name': it is empty, starts with '.', "
+             "or holds a '/', '\\', ',' or control character", self),
             (self.areas_r >= 1, "areas_r must be at least 1"),
             (self.band_hz[0] < self.band_hz[1], "band_hz lo must be below hi"),  # NaN too
         ])
@@ -221,13 +223,37 @@ class CaseResult:
     delta: np.ndarray  # machine rotor or GFM angles, rad
 
 
+_eig_worker: ThreadPoolExecutor
+
+
+def _new_eig_worker() -> None:
+    """One worker thread, shared by the whole process, runs every case's
+    dense eigensolve; the executor starts it at the first submit. A forked
+    child, which has none of its parent's threads, gets a new executor."""
+    global _eig_worker
+    _eig_worker = ThreadPoolExecutor(1, thread_name_prefix="coherence-lab-eig")
+
+
+_new_eig_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_eig_worker)
+
+
 def _analyze_case(
     net: Network,
     machines: MachineSet,
     spec: ScenarioSpec,
     slot_buses: list[int],
-) -> CaseResult:
-    """Power flow through modal analysis for one machine fleet.
+) -> tuple[PowerFlowSolution, Callable[[], CaseResult]]:
+    """Power flow through modal analysis for one machine fleet: the solved
+    power flow, and finish() that returns the CaseResult.
+
+    The dispatch state matrix is built first, and its eigensolve runs on
+    the eig worker while this thread reduces the reactive model and the
+    caller goes on until finish(). A failure still comes out in the order
+    of the sequential chain: power flow, equilibrium gate, reactive model,
+    kron_reduce, slow_eigensolve, state_matrix, eig, group_machines. The
+    dispatch and reactive models are never alive together.
 
     The linearization orders machines SGs first, then GFMs; this is the
     one place that maps that order onto slot_buses, by exact indexing, so
@@ -236,11 +262,18 @@ def _analyze_case(
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op, lossless=False)
     eq = check_equilibrium(dispatch)
-    reactive = build_linear_model(net, machines, op, lossless=True)
+    blocks = build_jacobians(dispatch)
+    del dispatch  # and its dense admittance matrix, before any solve
+    held = None
+    try:
+        modes = _eig_worker.submit(mode_shapes, state_matrix(blocks), len(slot_buses))
+    except Exception as exc:  # raised once the reactive chain has run
+        held = exc
+    del blocks
 
     row_of = {b: i for i, b in enumerate(machines.machine_buses)}
     perm = np.array([row_of[b] for b in slot_buses], dtype=int)
-    native = kron_reduce(build_jacobians(reactive))
+    native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
     lap = dc_replace(
         native,
         l=native.l[np.ix_(perm, perm)],
@@ -249,26 +282,28 @@ def _analyze_case(
         feedthrough_e=native.feedthrough_e[perm, :],
     )
     sub = slow_eigensolve(lap, spec.areas_r)
-    modes_all = [
-        dc_replace(m, components=m.components[perm])
-        for m in mode_shapes(state_matrix(build_jacobians(dispatch)), perm.size)
-    ]
-    lo, hi = spec.band_hz
+    if held:
+        raise held
 
-    return CaseResult(
-        net=net,
-        machines=machines,
-        sol=sol,
-        op=op,
-        lap=lap,
-        sub=sub,
-        part=group_machines(sub),
-        modes_all=modes_all,
-        modes_band=[m for m in modes_all if lo <= m.freq_hz <= hi],
-        equilibrium_max=eq.max_residual,
-        slot_buses=slot_buses,
-        delta=op.delta[perm],
-    )
+    def finish() -> CaseResult:
+        modes_all = [dc_replace(m, components=m.components[perm]) for m in modes.result()]
+        lo, hi = spec.band_hz
+        return CaseResult(
+            net=net,
+            machines=machines,
+            sol=sol,
+            op=op,
+            lap=lap,
+            sub=sub,
+            part=group_machines(sub),
+            modes_all=modes_all,
+            modes_band=[m for m in modes_all if lo <= m.freq_hz <= hi],
+            equilibrium_max=eq.max_residual,
+            slot_buses=slot_buses,
+            delta=op.delta[perm],
+        )
+
+    return sol, finish
 
 
 @dataclass(frozen=True)
@@ -302,14 +337,25 @@ def compare_cases(
 
 
 def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> ScenarioReport:
-    """The base case; with replacements, the scenario case and compare_cases."""
-    base = _analyze_case(net, machines, spec, machines.machine_buses)
-    if not spec.replacements:
-        return ScenarioReport(spec=spec, base=base)
+    """The base case; with replacements, the scenario case and compare_cases.
 
-    net2, machines2, warnings = apply_scenario(net, machines, spec, base_sol=base.sol)
-    slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
-    scen = _analyze_case(net2, machines2, spec, [slot_map.get(b, b) for b in base.slot_buses])
+    Each case's eigensolve runs on one worker thread shared by the process
+    while this thread goes on, and both cases are finished before
+    compare_cases. Results and errors are those of the sequential chain:
+    the whole base case, its eigensolve too, fails before the scenario."""
+    base_sol, finish_base = _analyze_case(net, machines, spec, machines.machine_buses)
+    if not spec.replacements:
+        return ScenarioReport(spec=spec, base=finish_base())
+
+    try:
+        net2, machines2, warnings = apply_scenario(net, machines, spec, base_sol=base_sol)
+        slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
+        _, finish_scen = _analyze_case(
+            net2, machines2, spec, [slot_map.get(b, b) for b in machines.machine_buses])
+    except Exception:
+        finish_base()  # a base-case failure comes out first
+        raise
+    base, scen = finish_base(), finish_scen()
     comparison, mode_track, flipped = compare_cases(base, scen)
 
     return ScenarioReport(

@@ -3,7 +3,10 @@ and batch execution."""
 
 import dataclasses
 import json
+import multiprocessing
 import sys
+import threading
+import time
 import typing
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import coherence_lab as cl
 from coherence_lab import reportio, scenario as scenario_mod
-from coherence_lab.errors import CoherenceLabError, ValidationError
+from coherence_lab.errors import CoherenceLabError, PipelineError, ValidationError
 from coherence_lab.linearize import build_linear_model
 from coherence_lab.scenario import (
     BatchJob,
@@ -517,15 +520,102 @@ def test_batch_run_propagates_programming_errors(tmp_path, monkeypatch, threads)
 
 
 def test_batch_run_threaded_matches_serial(tmp_path):
+    """Jobs on concurrent threads share the one eigensolve worker and give
+    the serial results bit for bit, whole reports of the bundled scenarios
+    included; back-to-back runs leave at most that one worker thread."""
     jobs = [write_two_bus_job(tmp_path, f"j{i}") for i in range(3)]
+    bundled = [BatchJob(str(DATA / "network.json"), str(DATA / "machines.json"),
+                        str(DATA / f"{name}.json")) for name in ("scenario1", "scenario2")]
     serial = batch_run(jobs, threads=1)
-    threaded = batch_run(jobs, threads=3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+    try:
+        threaded = batch_run(jobs, threads=3)
+        docs = {threads: [json.dumps(reportio.report_to_dict(r["report"]))
+                          for r in batch_run(bundled, threads=threads)]
+                for threads in (1, 2)}
+    finally:
+        sys.setswitchinterval(switch)
     assert [r["label"] for r in threaded] == [r["label"] for r in serial]
     for a, b in zip(serial, threaded):
         assert a["ok"] and b["ok"]
         la = a["report"].base.lap.l
         lb = b["report"].base.lap.l
         assert np.array_equal(la, lb)
+    assert docs[1] == docs[2]
+
+    before = threading.active_count()
+    net, ms = build_small_system(3, n_m=4)
+    spec = ScenarioSpec("again", [Replacement(ms.sgs[1].bus, net.buses[1].id)], areas_r=2)
+    for _ in range(20):
+        cl.run_pipeline(net, ms, spec)
+    assert threading.active_count() <= before + 1
+    assert sum(t.name.startswith("coherence-lab-eig") for t in threading.enumerate()) == 1
+
+
+def test_forked_child_runs_the_pipeline(net68, ms68):
+    """A child forked after the parent has run a pipeline, and so started
+    its eigensolve thread, starts its own and gets the parent's L."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available on this platform")
+    want = cl.run_pipeline(net68, ms68, s1_spec()).scenario.lap.l
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send_bytes(cl.run_pipeline(net68, ms68, s1_spec()).scenario.lap.l.tobytes())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    got = recv.recv_bytes() if recv.poll(60) else None
+    proc.join(10)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert got == want.tobytes()
+    assert proc.exitcode == 0
+
+
+@pytest.mark.parametrize("broken, first", [
+    (["state_matrix"], "state_matrix"),
+    (["state_matrix", "build_linear_model"], "build_linear_model"),
+    (["state_matrix", "kron_reduce"], "kron_reduce"),
+    (["state_matrix", "slow_eigensolve"], "slow_eigensolve"),
+    (["mode_shapes", "group_machines"], "mode_shapes"),
+])
+def test_case_errors_keep_the_sequential_order(net68, ms68, monkeypatch, broken, first):
+    """The dispatch state matrix is built before the reactive chain and its
+    eigensolve runs behind it, but a failing case raises what the
+    sequential chain raises first: reactive model, kron_reduce,
+    slow_eigensolve, state_matrix, eig, group_machines."""
+    for name in broken:
+        real = getattr(scenario_mod, name)
+
+        def fail(*args, name=name, real=real, **kwargs):
+            if name == "build_linear_model" and not kwargs["lossless"]:
+                return real(*args, **kwargs)  # only the reactive model fails
+            raise PipelineError(f"{name} failed")
+
+        monkeypatch.setattr(scenario_mod, name, fail)
+    with pytest.raises(PipelineError, match=f"^{first} failed$"):
+        cl.run_pipeline(net68, ms68, s1_spec())
+
+
+def test_base_eigensolve_error_comes_before_scenario_error(net68, ms68, monkeypatch):
+    """The base case's eigensolve still runs when the scenario stage fails;
+    its error is raised first, as the sequential chain, which finishes the
+    base case before the scenario starts, raises it."""
+    def slow_failure(a, n_r):
+        time.sleep(0.2)  # still running when apply_scenario refuses the spec
+        raise PipelineError("base eigensolve failed")
+
+    occupied = ms68.sgs[1].bus
+    spec = ScenarioSpec("clash", [Replacement(ms68.sgs[0].bus, occupied)], areas_r=5)
+    with pytest.raises(ValidationError, match=f"gfm bus {occupied} already has a machine"):
+        cl.run_pipeline(net68, ms68, spec)
+    monkeypatch.setattr(scenario_mod, "mode_shapes", slow_failure)
+    with pytest.raises(PipelineError, match="base eigensolve failed"):
+        cl.run_pipeline(net68, ms68, spec)
 
 
 def test_pipeline_deterministic_laplacian(net68, ms68):
