@@ -27,11 +27,8 @@ BETA_FLOOR = 1e-12
 @dataclass(frozen=True)
 class SlowSubspace:
     eigenvalues: np.ndarray  # sorted by magnitude, ascending
-    w_full: np.ndarray  # M_e-orthonormal eigenvector columns
-    w_r: np.ndarray
-    sigma_r: np.ndarray  # slow eigenvalues, diag entries
+    w_r: np.ndarray  # M_e-orthonormal columns of the r slowest eigenvectors
     r: int
-    machine_order: list[int]
     eigengap: list[float | None]
     symmetry_defect: float
 
@@ -69,7 +66,7 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
         )
     order = np.argsort(np.abs(vals), kind="stable")
     vals = vals[order]
-    z = z[:, order]
+    z = z[:, order[:r]]  # the r slowest eigenvectors
     n_zero = int(np.sum(np.abs(vals) <= ZERO_EVAL_REL * scale))
     if n_zero != 1:
         raise PipelineError(
@@ -77,18 +74,14 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
             "(machine graph may be disconnected)"
         )
     # deterministic sign: largest-magnitude entry of each column positive
-    flip = z[np.argmax(np.abs(z), axis=0), np.arange(n)] < 0
+    flip = z[np.argmax(np.abs(z), axis=0), np.arange(r)] < 0
     z[:, flip] = -z[:, flip]
-    w = z * (1.0 / np.sqrt(lap.m_e))[:, None]  # W = M_e^{-1/2} Z
     mag = np.abs(vals)
     gaps = [float(hi / lo) if lo > 1e-300 else None for lo, hi in zip(mag[:-1], mag[1:])]
     return SlowSubspace(
         eigenvalues=vals,
-        w_full=w,
-        w_r=w[:, :r].copy(),
-        sigma_r=vals[:r].copy(),
+        w_r=z * (1.0 / np.sqrt(lap.m_e))[:, None],  # W = M_e^{-1/2} Z
         r=r,
-        machine_order=list(lap.machine_order),
         eigengap=gaps,
         symmetry_defect=defect,
     )
@@ -103,8 +96,9 @@ class Partition:
     area_rows: list[list[int]]  # rows of the slow basis, ordered as in areas
 
 
-def group_machines(sub: SlowSubspace) -> Partition:
-    """Reference-machine grouping on the slow basis.
+def group_machines(sub: SlowSubspace, buses: list[int]) -> Partition:
+    """Reference-machine grouping on the slow basis; row i of W_r is the
+    machine at buses[i].
 
     Complete-pivot Gaussian elimination picks the r most independent rows
     of W_r as references; expressing every row in that basis gives
@@ -134,7 +128,6 @@ def group_machines(sub: SlowSubspace) -> Partition:
         alpha = np.linalg.solve(w_ref.T, w_r.T).T
     except np.linalg.LinAlgError:
         raise PipelineError("reference basis is singular after pivoting") from None
-    buses = sub.machine_order
     area = alpha.argmax(axis=1).tolist()
     area_rows: list[list[int]] = [[] for _ in range(r)]
     for i in sorted(range(n), key=buses.__getitem__):
@@ -152,7 +145,6 @@ def group_machines(sub: SlowSubspace) -> Partition:
 class ModeShape:
     freq_hz: float
     damping_ratio: float
-    eigenvalue: complex
     components: np.ndarray  # complex, one per machine
 
 
@@ -174,7 +166,6 @@ def mode_shapes(a: np.ndarray, n_r: int) -> list[ModeShape]:
         ModeShape(
             freq_hz=float(lam.imag / (2.0 * np.pi)),
             damping_ratio=float(-lam.real / abs(lam)),
-            eigenvalue=complex(lam),
             components=comp,
         )
         for lam, comp in zip(lams, comps)
@@ -272,7 +263,7 @@ def compare_subspaces(
 
     s0 = _mass_normalized(base_lap)
     s1 = _mass_normalized(scen_lap)
-    resid = s0 @ z_scen - z_scen * scen_sub.sigma_r[None, :]
+    resid = s0 @ z_scen - z_scen * scen_sub.eigenvalues[None, : scen_sub.r]
     row_shift = np.linalg.norm(z_scen - z_base @ q, axis=1)
 
     if beta_defined:

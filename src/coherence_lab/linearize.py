@@ -40,7 +40,6 @@ COND_PROBES = 4
 
 @dataclass
 class LinearModel:
-    variant: str
     net: Network
     machines: MachineSet
     op: OperatingPoint
@@ -91,7 +90,6 @@ def build_linear_model(
         v_point = op.v.copy()
 
     return LinearModel(
-        variant="reactive" if lossless else "dispatch",
         net=net,
         machines=machines,
         op=op,
@@ -247,11 +245,10 @@ class JacobianBlocks:
     rhs = [a3 | a34 | probes], the right-hand side of the one solve
     against a33 (see _reduce), built once.
 
-    The blocks keep the model's variant, fleet and nominal frequency, not
-    the model itself, so its dense admittance matrix is freed with it.
+    The blocks keep the model's fleet and nominal frequency, not the model
+    itself, so its dense admittance matrix is freed with it.
     """
 
-    variant: str
     machines: MachineSet
     omega0: float
     a1: np.ndarray
@@ -360,7 +357,6 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     )
 
     return JacobianBlocks(
-        variant=model.variant,
         machines=machines,
         omega0=omega0,
         a1=a1,
@@ -378,11 +374,12 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 
 @dataclass(frozen=True)
 class LaplacianPair:
+    """Row i is machine i of the reduced blocks' fleet (SGs, then GFMs), or
+    slot i in a pipeline case."""
+
     l: np.ndarray
     m_e: np.ndarray  # diagonal entries
-    machine_order: list[int]
     feedthrough_e: np.ndarray
-    variant: str
 
     @property
     def l_bar(self) -> np.ndarray:
@@ -429,13 +426,7 @@ def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
     -A2 A33^{-1} A34 is reported alongside but holds no angle dynamics.
     """
     l, feed, _ = _reduce(blocks)
-    return LaplacianPair(
-        l=l,
-        m_e=blocks.m_e.copy(),
-        machine_order=blocks.machines.machine_buses,
-        feedthrough_e=feed,
-        variant=blocks.variant,
-    )
+    return LaplacianPair(l=l, m_e=blocks.m_e, feedthrough_e=feed)
 
 
 @dataclass

@@ -113,13 +113,18 @@ def machines_from_dict(raw: dict) -> MachineSet:
 
 
 def validate_against_network(ms: MachineSet, net: Network) -> None:
-    """Cross-checks that need the network: bus existence and kinds."""
+    """Cross-checks that need the network: bus existence and kinds, and
+    each GFM's v_set equal to its bus's v_setpoint, the voltage it holds."""
     errors: list[str] = []
+    v_set = {g.bus: g.v_set for g in ms.gfms}
     for bus in ms.machine_buses:
         if bus not in net.index_of:
             errors.append(f"machine bus {bus} not in network")
         elif net.bus(bus).kind not in ("slack", "pv"):
             errors.append(f"machine bus {bus} must be slack or pv, got {net.bus(bus).kind}")
+        elif bus in v_set and v_set[bus] != net.bus(bus).v_setpoint:
+            errors.append(f"gfm at bus {bus}: v_set {v_set[bus]!r} differs from the "
+                          f"bus v_setpoint {net.bus(bus).v_setpoint!r}")
     slack = net.slack_id()
     if slack not in ms.machine_buses:
         errors.append(f"slack bus {slack} has no machine")

@@ -90,18 +90,24 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     return scenario_from_dict(read_json(path, "scenario file"))
 
 
+def _given(entry: dict, key: str, default):
+    """entry[key], or default when the key is absent or null."""
+    value = entry.get(key)
+    return default if value is None else value
+
+
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
     reps = []
     for i, e in enumerate(read_field(raw, "replacements", list, "scenario")):
-        params = e.get("gfm_params", Replacement.gfm_params) if isinstance(e, dict) else None
+        params = _given(e, "gfm_params", Replacement.gfm_params) if isinstance(e, dict) else None
         reps.append(read_record(Replacement, e, f"replacements[{i}]", gfm_params=params))
         _new_gfm(reps[-1], i)  # its gfm_params are checked now, before any power flow
-    band = raw.get("band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
+    band = _given(raw, "band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
     check_keys(band, {"lo", "hi"}, "band_hz")
-    opts = raw.get("options", {})
+    opts = _given(raw, "options", {})
     if isinstance(opts, dict):
         # the key survives only to declare the reactive-path (lossless) model
-        if opts.get("lossless", True) is not True:
+        if _given(opts, "lossless", True) is not True:
             raise ValidationError(
                 "options.lossless must be true: slow coherency needs the reactive-path reduction"
             )
@@ -274,11 +280,9 @@ def _analyze_case(
     row_of = {b: i for i, b in enumerate(machines.machine_buses)}
     perm = np.array([row_of[b] for b in slot_buses], dtype=int)
     native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
-    lap = dc_replace(
-        native,
+    lap = LaplacianPair(
         l=native.l[np.ix_(perm, perm)],
         m_e=native.m_e[perm],
-        machine_order=list(slot_buses),
         feedthrough_e=native.feedthrough_e[perm, :],
     )
     sub = slow_eigensolve(lap, spec.areas_r)
@@ -295,7 +299,7 @@ def _analyze_case(
             op=op,
             lap=lap,
             sub=sub,
-            part=group_machines(sub),
+            part=group_machines(sub, slot_buses),
             modes_all=modes_all,
             modes_band=[m for m in modes_all if lo <= m.freq_hz <= hi],
             equilibrium_max=eq.max_residual,
@@ -403,7 +407,5 @@ def batch_run(jobs: list[BatchJob], threads: int = 1) -> list[dict]:
                 "exit_code": exc.exit_code,
             }
 
-    if threads == 1:
-        return [one(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, jobs))

@@ -194,7 +194,7 @@ def solve_and_init(net, ms, tol=1e-10):
 # ---------------------------------------------------------------------------
 # synthetic Laplacian pairs for the perturbation bounds
 
-def lap_from_weights(w, m, first_bus=1):
+def lap_from_weights(w, m):
     """Wrap a symmetric nonnegative weight matrix as a LaplacianPair.
 
     Off-diagonal entries are +w, diagonals make rows sum to zero, so the
@@ -208,9 +208,7 @@ def lap_from_weights(w, m, first_bus=1):
     return LaplacianPair(
         l=l,
         m_e=m.astype(float),
-        machine_order=list(range(first_bus, first_bus + n)),
         feedthrough_e=np.zeros((n, n)),
-        variant="reactive",
     )
 
 

@@ -100,7 +100,7 @@ def test_criterion_04_gfm_mode_shift_direction(report_s1, report_s2):
     # the replacement trades a rotating mass for a much lighter droop loop
     for report in (report_s1, report_s2):
         for g in report.scenario.machines.gfms:
-            slot = report.scenario.lap.machine_order.index(g.bus)
+            slot = report.scenario.slot_buses.index(g.bus)
             assert report.scenario.lap.m_e[slot] < report.base.lap.m_e[slot]
 
 

@@ -132,6 +132,21 @@ def test_machine_on_unknown_bus_is_validation_error(tmp_path, capsys):
     assert "77" in captured.err
 
 
+def test_gfm_v_set_off_its_bus_setpoint_is_validation_error(tmp_path, capsys):
+    """A fleet GFM holds its bus's v_setpoint, so a v_set that differs is
+    refused instead of ignored."""
+    netp = tmp_path / "net.json"
+    msp = tmp_path / "ms.json"
+    net, machines = two_bus_dicts()
+    net["buses"][1].update(kind="pv", v_setpoint=1.0)
+    machines["gfms"] = [{"bus": 2, "v_set": 1.2}]
+    netp.write_text(json.dumps(net))
+    msp.write_text(json.dumps(machines))
+    rc = run_cli(["validate", "--network", netp, "--machines", msp])
+    assert rc == 1
+    assert "gfm at bus 2: v_set 1.2 differs from the bus v_setpoint 1.0" in capsys.readouterr().err
+
+
 def test_nonconverging_case_is_convergence_error(tmp_path, capsys):
     net, machines = two_bus_dicts(x=0.5, p_load=1.2, q_load=0.5)
     netp, msp = tmp_path / "net.json", tmp_path / "ms.json"

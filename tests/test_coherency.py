@@ -55,8 +55,8 @@ def test_eigensolver_matches_dense_oracle_random(seed):
 def test_slow_basis_is_mass_orthonormal(case_base):
     sub = case_base.sub
     m = case_base.lap.m_e
-    gram = sub.w_full.T @ (m[:, None] * sub.w_full)
-    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
+    gram = sub.w_r.T @ (m[:, None] * sub.w_r)
+    assert np.max(np.abs(gram - np.eye(sub.r))) < 1e-9
     assert sub.w_r.shape == (len(m), sub.r)
 
 
@@ -95,10 +95,15 @@ def two_block_lap(tie=0.05, n_a=3, n_b=3, stiff=10.0, seed=1):
     return lap_from_weights(w, m)
 
 
+def group(sub):
+    """group_machines with row i at bus i + 1."""
+    return cl.group_machines(sub, list(range(1, len(sub.w_r) + 1)))
+
+
 def test_grouping_recovers_planted_blocks():
     lap = two_block_lap()
     sub = cl.slow_eigensolve(lap, 2)
-    part = cl.group_machines(sub)
+    part = group(sub)
     got = {frozenset(a) for a in part.areas}
     assert got == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
     # one reference machine per area
@@ -108,7 +113,7 @@ def test_grouping_recovers_planted_blocks():
 
 def test_grouping_alpha_rows_sum_to_one():
     lap = two_block_lap(tie=0.3)
-    part = cl.group_machines(cl.slow_eigensolve(lap, 2))
+    part = group(cl.slow_eigensolve(lap, 2))
     rows = np.asarray(part.alpha).sum(axis=1)
     assert np.max(np.abs(rows - 1.0)) < 1e-8
 
@@ -116,10 +121,25 @@ def test_grouping_alpha_rows_sum_to_one():
 @pytest.mark.parametrize("seed", range(80, 86))
 def test_grouping_alpha_rows_sum_random(seed):
     lap0, sub0, _, _ = random_lap_pair(seed)
-    part = cl.group_machines(sub0)
+    part = group(sub0)
     rows = np.asarray(part.alpha).sum(axis=1)
     assert np.max(np.abs(rows - 1.0)) < 1e-8
-    assert sorted(b for a in part.areas for b in a) == sorted(lap0.machine_order)
+    assert sorted(b for a in part.areas for b in a) == list(range(1, len(lap0.m_e) + 1))
+
+
+@pytest.mark.parametrize("seed", range(80, 84))
+def test_grouping_takes_bus_ids_from_the_caller(seed):
+    """The buses only name the rows: given in reverse, they label the same
+    row groups and references with the reversed ids."""
+    lap, sub, _, _ = random_lap_pair(seed)
+    n = len(lap.m_e)
+    fwd, rev = group(sub), cl.group_machines(sub, list(range(n, 0, -1)))
+    flip = lambda b: n + 1 - b
+    assert rev.areas == [sorted(map(flip, a)) for a in fwd.areas]
+    assert rev.reference_buses == [flip(b) for b in fwd.reference_buses]
+    assert rev.assignment == {flip(b): a for b, a in fwd.assignment.items()}
+    assert [set(r) for r in rev.area_rows] == [set(r) for r in fwd.area_rows]
+    assert np.array_equal(rev.alpha, fwd.alpha)
 
 
 def test_base_fixture_grouping(case_base):
@@ -243,20 +263,19 @@ def test_epsilon_decompose_reconstructs(case_base):
 
 def test_epsilon_known_toy():
     lap = two_block_lap(tie=0.05)
-    part = cl.group_machines(cl.slow_eigensolve(lap, 2))
+    part = group(cl.slow_eigensolve(lap, 2))
     eps = cl.epsilon_decompose(lap, part)
     assert eps.epsilon == pytest.approx(0.05)
 
 
 def test_slow_variable_weighted_mean():
     lap = two_block_lap()
-    part = cl.group_machines(cl.slow_eigensolve(lap, 2))
+    part = group(cl.slow_eigensolve(lap, 2))
     m = lap.m_e
     delta = np.arange(6, dtype=float) * 0.1
     slow = cl.slow_variable(part, m, delta)
-    order = {b: i for i, b in enumerate(lap.machine_order)}
     for a, members in enumerate(part.areas):
-        idx = [order[b] for b in members]
+        idx = [b - 1 for b in members]
         want = np.sum(m[idx] * delta[idx]) / np.sum(m[idx])
         assert slow[a] == pytest.approx(want)
 
@@ -276,7 +295,6 @@ def test_track_modes_follows_correlation():
     mk = lambda f, comp: cl.ModeShape(
         freq_hz=f,
         damping_ratio=0.0,
-        eigenvalue=complex(0.0, 2 * np.pi * f),
         components=np.asarray(comp, dtype=complex),
     )
     base = [mk(0.5, [1.0, -1.0]), mk(0.9, [1.0, 1.0])]
@@ -321,7 +339,7 @@ def random_modes(rng, count, n_r, zero=()):
             comp[:] = 0.0
         modes.append(cl.ModeShape(
             freq_hz=float(rng.uniform(0.1, 3.0)), damping_ratio=0.05,
-            eigenvalue=0j, components=comp,
+            components=comp,
         ))
     return modes
 

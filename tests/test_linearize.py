@@ -235,7 +235,7 @@ def test_state_matrix_angle_block_is_scaled_laplacian(net68, ms68):
     blocks = cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=False))
     a = cl.state_matrix(blocks)
     lap = cl.kron_reduce(blocks)
-    n_r = len(lap.machine_order)
+    n_r = len(ms68.machine_buses)
     # angle rows first, then frequency rows, each in the model's machine order
     assert a.shape == (2 * n_r + 2 * len(ms68.gfms),) * 2
     assert np.allclose(a[n_r : 2 * n_r, :n_r], lap.l_bar, atol=1e-10)

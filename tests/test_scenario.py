@@ -56,6 +56,21 @@ def test_scenario_parsing_roundtrip():
     assert spec.replacements[0].gfm_params == "default"
 
 
+@pytest.mark.parametrize("field", [
+    {"band_hz": None}, {"options": None}, {"options": {"lossless": None}},
+    {"replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": None}]},
+])
+def test_scenario_null_field_reads_as_default(field):
+    """A null field reads as an absent one, also where the reader is not
+    read_record."""
+    raw = {"name": "x", "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37}], "areas_r": 2}
+    spec = scenario_from_dict({**raw, **field})
+    assert spec == scenario_from_dict(raw)
+    assert spec.band_hz == (0.3, 1.0)
+    assert spec.options == cl.PowerFlowOptions()
+    assert spec.replacements[0].gfm_params == "default"
+
+
 @pytest.mark.parametrize("raw, fragment", [
     ({"replacements": [], "areas_r": 2}, "scenario: missing field 'name'"),
     ({"name": "x", "areas_r": 2}, "scenario: missing field 'replacements'"),
@@ -102,8 +117,8 @@ def test_scenario_parsing_roundtrip():
      "options: expected an object, got int"),
     ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": 5},
      "band_hz: expected an object, got int"),
-    ({"name": "x", "replacements": [], "areas_r": 2, "options": None},
-     "options: expected an object, got NoneType"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": []},
+     "options: expected an object, got list"),
     ({"name": 5, "replacements": [], "areas_r": 2},
      "scenario: bad value 5 for field 'name': expected a string"),
     ({"name": "x", "replacements": [], "areas_r": "2"},
@@ -373,7 +388,7 @@ def test_gfm_replacement_keeps_weighted_laplacian(data):
     except CoherenceLabError:
         return
     assert np.array_equal(scaled.l, l)
-    slot = lap.machine_order.index(reps[j].gfm_bus)
+    slot = ms2.machine_buses.index(reps[j].gfm_bus)
     others = np.arange(l.shape[0]) != slot
     assert np.array_equal(scaled.m_e[others], lap.m_e[others])
     want = lap.m_e[slot] * k if field == "tau" else lap.m_e[slot] / k
@@ -389,12 +404,11 @@ def test_base_only_pipeline(report_base):
 
 
 def test_scenario_slot_alignment(report_s1):
-    base_order = report_s1.base.lap.machine_order
-    scen_order = report_s1.scenario.lap.machine_order
+    base_order = report_s1.base.slot_buses
+    assert base_order == report_s1.base.machines.machine_buses
     slot = base_order.index(65)
     want = list(base_order)
     want[slot] = 37
-    assert scen_order == want
     assert report_s1.scenario.slot_buses == want
 
 
@@ -417,7 +431,7 @@ def test_case_records_are_frozen(report_s1):
 def test_scenario_masses_change_only_in_slot(report_s1):
     base = report_s1.base.lap
     scen = report_s1.scenario.lap
-    slot = base.machine_order.index(65)
+    slot = report_s1.base.slot_buses.index(65)
     same = [i for i in range(len(base.m_e)) if i != slot]
     assert np.allclose(scen.m_e[same], base.m_e[same])
     assert scen.m_e[slot] < base.m_e[slot]  # droop mass far below the big unit
@@ -425,7 +439,7 @@ def test_scenario_masses_change_only_in_slot(report_s1):
 
 def test_flipped_is_subset_of_fleet(report_s1, report_s2):
     for rep in (report_s1, report_s2):
-        assert set(rep.flipped) <= set(rep.base.lap.machine_order)
+        assert set(rep.flipped) <= set(rep.base.slot_buses)
 
 
 def test_compare_cases_pairs_a_case_with_itself(report_base, report_s1, report_s2):
