@@ -52,22 +52,6 @@ class InputOutputError(CoherenceLabError):
     exit_code = 4
 
 
-def read_field(entry, key: str, kind, where: str):
-    """entry[key] of one input-file object read as kind (int, float, str or
-    list); a field that is absent or null, or a value that does not fit, a
-    NaN or an infinity among them, raises ValidationError naming both."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
-    value = entry.get(key)
-    if value is None:
-        raise ValidationError(f"{where}: missing field '{key}'")
-    fault, read = _KINDS[kind]
-    value = read(value)
-    if why := fault(value):
-        raise ValidationError(f"{where}: bad value {value!r} for field '{key}': {why}")
-    return value
-
-
 def read_json(path: str | Path, what: str) -> dict:
     """The top-level object of a JSON file. A file that cannot be read
     raises InputOutputError; one that is not JSON, or whose top level is
@@ -102,26 +86,27 @@ def check(record, rules=lambda: ()) -> None:
         raise ValidationError("; ".join(broken))
 
 
-def check_keys(entry, known, where: str) -> None:
-    """Refuse an entry that is not an object or holds a key outside known."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
-    if not entry.keys() <= known:
-        raise ValidationError(f"{where}: unknown fields {sorted(entry.keys() - known)}")
+def store_tuples(record, *names: str) -> None:
+    """Store each named list field of a frozen record that passed check as a
+    tuple, so code may pass a list and the record holds what was checked."""
+    for name in names:
+        if isinstance(value := getattr(record, name), list):
+            object.__setattr__(record, name, tuple(value))
 
 
 def read_record(cls, entry, where: str, **given):
     """Dataclass cls read from one input-file object: an undeclared key is
-    refused, each field not given is read under its key, an absent or null
-    one left to its default, and cls checks itself; its ValidationError is
-    prefixed with where."""
+    refused, each field not given is read under its key by its reader, an
+    absent or null one left to its default, and cls checks itself; its
+    ValidationError is prefixed with where."""
     table, declared = _field_table(cls)
-    check_keys(entry, declared, where)
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(entry).__name__}")
+    if not entry.keys() <= declared:
+        raise ValidationError(f"{where}: unknown fields {sorted(entry.keys() - declared)}")
     for name, key, _, read, required in table:
         if name in given:
             continue
-        if read is None:
-            raise TypeError(f"{cls.__name__}.{name} has no reader and must be given")
         if (value := entry.get(key)) is not None:
             given[name] = read(value)
         elif required:
@@ -163,37 +148,38 @@ _KINDS = {
     float: (_real_fault, _as_float),
     float | None: (lambda v: v is not None and _real_fault(v), _as_float),
     str: (lambda v: None if isinstance(v, str) else "expected a string", lambda v: v),
-    list: (lambda v: None if isinstance(v, list) else "expected a list", lambda v: v),
+    dict | str: (lambda v: None if isinstance(v, (dict, str)) else "expected dict | str",
+                 lambda v: v),
 }
 
 
 def _rule(hint, key: str):
-    """(fault, read) of a field of no file kind: read is None, for a loader
-    to give the field, unless it is a list of records that can be read."""
-    if typing.get_origin(hint) is tuple:
+    """(fault, read) of a field of no file kind. A tuple of records is read
+    entry by entry as key[i]; a pair of numbers or a record has no reader
+    here, so its field names one in its metadata."""
+    args = typing.get_args(hint)
+    if args == (float, float):
         return _pair_fault, None
-    if typing.get_origin(hint) is not list:
-        types = typing.get_args(hint) or hint
-        name = getattr(hint, "__name__", hint)
-        return (lambda v: None if isinstance(v, types) else f"expected {name}"), None
-    (item,) = typing.get_args(hint)
-    readable = all(row[3] for row in _field_table(item)[0])
-    return ((lambda v: None if isinstance(v, list) and all(isinstance(e, item) for e in v)
+    if not args:
+        return (lambda v: None if isinstance(v, hint) else f"expected {hint.__name__}"), None
+    item = args[0]  # tuple[item, ...]
+    return ((lambda v: None if isinstance(v, (tuple, list)) and all(isinstance(e, item) for e in v)
              else f"expected a list of {item.__name__}"),
             # a value that is not a list is left for the type rule to refuse
-            (lambda v: [read_record(item, e, f"{key}[{i}]") for i, e in enumerate(v)]
-             if isinstance(v, list) else v) if readable else None)
+            lambda v: tuple(read_record(item, e, f"{key}[{i}]") for i, e in enumerate(v))
+            if isinstance(v, list) else v)
 
 
 @functools.cache  # uncached, get_type_hints makes loading a ring grid ~15x slower
 def _field_table(cls):
     """(name, key, fault, read, required) of each field of cls set at
-    construction, and the set of keys. A field's key is its name unless its
-    metadata names one; a field with read None must be given."""
+    construction, and the set of keys. A field's key is its name and its
+    reader that of its kind, unless its metadata names a "key" or a "read"."""
     hints, table = typing.get_type_hints(cls), []
     for f in fields(cls):
         if f.init:
             key, hint = f.metadata.get("key", f.name), hints[f.name]
-            table.append((f.name, key, *(_KINDS.get(hint) or _rule(hint, key)),
+            fault, read = _KINDS.get(hint) or _rule(hint, key)
+            table.append((f.name, key, fault, f.metadata.get("read", read),
                           f.default is MISSING and f.default_factory is MISSING))
     return tuple(table), frozenset(row[1] for row in table)

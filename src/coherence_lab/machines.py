@@ -13,12 +13,12 @@ damping values are rescaled by omega0 where they meet a rad/s signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check, read_json, read_record
+from .errors import ValidationError, check, read_json, read_record, store_tuples
 from .network import Network
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class Gfm:
 GFM_DEFAULTS = {k: getattr(Gfm, k) for k in ("tau", "lambda_p", "lambda_q", "kpv", "kiv")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineSet:
-    sgs: list[Sg] = field(default_factory=list)
-    gfms: list[Gfm] = field(default_factory=list)
+    sgs: tuple[Sg, ...] = ()
+    gfms: tuple[Gfm, ...] = ()
 
     def __post_init__(self) -> None:
         def rules():
@@ -83,6 +83,7 @@ class MachineSet:
             return [(not dupes, "more than one machine at bus(es) {}", dupes),
                     (bool(buses), "machine set is empty")]
         check(self, rules)
+        store_tuples(self, "sgs", "gfms")
 
     @property
     def fleet(self) -> list[Sg | Gfm]:
@@ -113,8 +114,9 @@ def machines_from_dict(raw: dict) -> MachineSet:
 
 
 def validate_against_network(ms: MachineSet, net: Network) -> None:
-    """Cross-checks that need the network: bus existence and kinds, and
-    each GFM's v_set equal to its bus's v_setpoint, the voltage it holds."""
+    """Cross-checks that need the network: bus existence and kinds, each
+    GFM's v_set equal to its bus's v_setpoint, the voltage it holds, and a
+    machine at every slack and pv bus, to supply its reactive power."""
     errors: list[str] = []
     v_set = {g.bus: g.v_set for g in ms.gfms}
     for bus in ms.machine_buses:
@@ -125,8 +127,8 @@ def validate_against_network(ms: MachineSet, net: Network) -> None:
         elif bus in v_set and v_set[bus] != net.bus(bus).v_setpoint:
             errors.append(f"gfm at bus {bus}: v_set {v_set[bus]!r} differs from the "
                           f"bus v_setpoint {net.bus(bus).v_setpoint!r}")
-    slack = net.slack_id()
-    if slack not in ms.machine_buses:
-        errors.append(f"slack bus {slack} has no machine")
+    held = set(ms.machine_buses)
+    errors += [f"{b.kind} bus {b.id} has no machine" for b in net.buses
+               if b.kind != "pq" and b.id not in held]
     if errors:
         raise ValidationError("machine/network validation failed: " + "; ".join(errors))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check, read_json, read_record
+from .errors import ValidationError, check, read_json, read_record, store_tuples
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ class Branch:
         ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
     base_mva: float
     f0_hz: float
-    buses: list[Bus]
-    branches: list[Branch]
+    buses: tuple[Bus, ...]
+    branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
         check(self, lambda: [
@@ -81,6 +81,7 @@ class Network:
               for br in self.branches
               if br.from_bus not in self.index_of or br.to_bus not in self.index_of],
         ])
+        store_tuples(self, "buses", "branches")
 
     @functools.cached_property
     def index_of(self) -> dict[int, int]:

@@ -34,10 +34,9 @@ from .errors import (
     CoherenceLabError,
     ValidationError,
     check,
-    check_keys,
-    read_field,
     read_json,
     read_record,
+    store_tuples,
 )
 from .linearize import (
     LaplacianPair,
@@ -68,12 +67,38 @@ class Replacement:
 
 
 @dataclass(frozen=True)
+class _Band:  # a scenario file's band_hz object
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        check(self)
+
+
+def _read_band(raw) -> tuple[float, float]:
+    band = read_record(_Band, raw, "band_hz")
+    return band.lo, band.hi
+
+
+def _read_options(raw) -> PowerFlowOptions:
+    """A scenario file's options object. Its lossless key survives only to
+    declare the reactive-path (lossless) model, so it is true or null."""
+    if isinstance(raw, dict) and "lossless" in raw:
+        if raw["lossless"] is not True and raw["lossless"] is not None:  # 1 == True, so `is`
+            raise ValidationError("options.lossless must be true: slow coherency needs the "
+                                  "reactive-path reduction")
+        raw = {k: v for k, v in raw.items() if k != "lossless"}
+    return read_record(PowerFlowOptions, raw, "options")
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     name: str  # names artifacts, heads CSV columns
-    replacements: list[Replacement]
+    replacements: tuple[Replacement, ...]
     areas_r: int
-    band_hz: tuple[float, float] = (0.3, 1.0)
-    options: PowerFlowOptions = PowerFlowOptions()
+    band_hz: tuple[float, float] = field(default=(0.3, 1.0), metadata={"read": _read_band})
+    options: PowerFlowOptions = field(default=PowerFlowOptions(),
+                                      metadata={"read": _read_options})
 
     def __post_init__(self) -> None:
         check(self, lambda: [
@@ -84,41 +109,18 @@ class ScenarioSpec:
             (self.areas_r >= 1, "areas_r must be at least 1"),
             (self.band_hz[0] < self.band_hz[1], "band_hz lo must be below hi"),  # NaN too
         ])
+        store_tuples(self, "replacements")
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
     return scenario_from_dict(read_json(path, "scenario file"))
 
 
-def _given(entry: dict, key: str, default):
-    """entry[key], or default when the key is absent or null."""
-    value = entry.get(key)
-    return default if value is None else value
-
-
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    reps = []
-    for i, e in enumerate(read_field(raw, "replacements", list, "scenario")):
-        params = _given(e, "gfm_params", Replacement.gfm_params) if isinstance(e, dict) else None
-        reps.append(read_record(Replacement, e, f"replacements[{i}]", gfm_params=params))
-        _new_gfm(reps[-1], i)  # its gfm_params are checked now, before any power flow
-    band = _given(raw, "band_hz", dict(zip(("lo", "hi"), ScenarioSpec.band_hz)))
-    check_keys(band, {"lo", "hi"}, "band_hz")
-    opts = _given(raw, "options", {})
-    if isinstance(opts, dict):
-        # the key survives only to declare the reactive-path (lossless) model
-        if _given(opts, "lossless", True) is not True:
-            raise ValidationError(
-                "options.lossless must be true: slow coherency needs the reactive-path reduction"
-            )
-        opts = {k: v for k, v in opts.items() if k != "lossless"}
-    return read_record(
-        ScenarioSpec, raw, "scenario",
-        replacements=reps,
-        band_hz=(read_field(band, "lo", float, "band_hz"),
-                 read_field(band, "hi", float, "band_hz")),
-        options=read_record(PowerFlowOptions, opts, "options"),
-    )
+    spec = read_record(ScenarioSpec, raw, "scenario")
+    for i, rep in enumerate(spec.replacements):
+        _new_gfm(rep, i)  # its gfm_params are checked now, before any power flow
+    return spec
 
 
 def _new_gfm(rep: Replacement, i: int, **solved: float) -> Gfm:
@@ -200,7 +202,7 @@ def apply_scenario(
             dc_replace(b, kind="slack") if b.id == promoted else b for b in new_buses
         ]
 
-    net2 = dc_replace(net, buses=new_buses, branches=list(net.branches))
+    net2 = dc_replace(net, buses=new_buses)
     machines2 = MachineSet(sgs=remaining_sgs, gfms=gfms)
     validate_against_network(machines2, net2)
     return net2, machines2, warnings

@@ -147,6 +147,21 @@ def test_gfm_v_set_off_its_bus_setpoint_is_validation_error(tmp_path, capsys):
     assert "gfm at bus 2: v_set 1.2 differs from the bus v_setpoint 1.0" in capsys.readouterr().err
 
 
+def test_pv_bus_without_machine_is_validation_error(tmp_path, capsys):
+    """No machine supplies the reactive power of a pv bus that holds none,
+    so the fleet is refused where it meets the network, by validate and by
+    run alike, instead of failing the equilibrium gate after the power flow."""
+    net = json.loads((DATA / "network.json").read_text())
+    (bus,) = [b for b in net["buses"] if b["id"] == 30]
+    bus.update(kind="pv", v_setpoint=1.0)
+    netp = tmp_path / "net.json"
+    netp.write_text(json.dumps(net))
+    for args in (["validate"], ["run", "--scenario", DATA / "scenario1.json", "--out", tmp_path]):
+        rc = run_cli([*args, "--network", netp, "--machines", DATA / "machines.json"])
+        assert rc == 1
+        assert "pv bus 30 has no machine" in capsys.readouterr().err
+
+
 def test_nonconverging_case_is_convergence_error(tmp_path, capsys):
     net, machines = two_bus_dicts(x=0.5, p_load=1.2, q_load=0.5)
     netp, msp = tmp_path / "net.json", tmp_path / "ms.json"

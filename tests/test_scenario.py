@@ -61,8 +61,7 @@ def test_scenario_parsing_roundtrip():
     {"replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": None}]},
 ])
 def test_scenario_null_field_reads_as_default(field):
-    """A null field reads as an absent one, also where the reader is not
-    read_record."""
+    """A null field reads as an absent one, in a nested object too."""
     raw = {"name": "x", "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37}], "areas_r": 2}
     spec = scenario_from_dict({**raw, **field})
     assert spec == scenario_from_dict(raw)
@@ -91,6 +90,8 @@ def test_scenario_null_field_reads_as_default(field):
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"lossless": False}},
      "options.lossless"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"lossless": "yes"}},
+     "options.lossless"),
+    ({"name": "x", "replacements": [], "areas_r": 2, "options": {"lossless": 1}},
      "options.lossless"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"tol": "tight"}},
      "options: bad value 'tight' for field 'tol'"),
@@ -178,9 +179,8 @@ def test_code_built_records_check_themselves(record, args, kwargs, fragment):
 
 def test_read_record_names_unknown_keys_first():
     """An undeclared key is refused before any field is read, a record's own
-    rule is prefixed with the entry, and a field the reader cannot read (a
-    tuple, a nested record, a list of records it cannot read) must be given
-    by the loader."""
+    rule is prefixed with the entry, and a field that holds a pair or a
+    record (band_hz, options) is read by the reader its metadata names."""
     from coherence_lab.errors import read_record
 
     with pytest.raises(ValidationError, match=r"^sgs\[0\]: unknown fields \['D'\]$"):
@@ -189,8 +189,10 @@ def test_read_record_names_unknown_keys_first():
         read_record(cl.Sg, {"bus": 1, "m": 0, "xd_prime": 0.1, "p_set": 1}, "sgs[0]")
     branch = read_record(cl.Branch, {"from": 1, "to": 2.0, "r": 0, "x": 0.1}, "branches[0]")
     assert branch == cl.Branch(from_bus=1, to_bus=2, r=0.0, x=0.1)
-    with pytest.raises(TypeError, match="ScenarioSpec.replacements"):
-        read_record(ScenarioSpec, {"name": "x", "replacements": [], "areas_r": 2}, "scenario")
+    spec = read_record(ScenarioSpec, {"name": "x", "replacements": [], "areas_r": 2,
+                                      "band_hz": {"lo": 0.5, "hi": 2}}, "scenario")
+    assert spec == ScenarioSpec("x", (), 2, band_hz=(0.5, 2.0))
+    assert type(spec.band_hz[1]) is float
 
 
 # a valid instance of each input record with a scalar field, as keyword
@@ -240,6 +242,54 @@ def test_code_and_file_records_pass_the_same_rules(cls_field, value):
     assert outcomes[0] == outcomes[1]
 
 
+def test_every_input_record_is_read_whole_by_read_record():
+    """read_record alone reads every field of each of the nine input records
+    from a file object, none given by a loader, into the record code builds,
+    and reads each bundled scenario file as load_scenario does."""
+    from coherence_lab.errors import read_record
+
+    # each input record as a file holds it, every field set, and as code builds it
+    records = [
+        (cl.Bus, {"id": 2, "kind": "pv", "v_setpoint": 1.02, "load_p": 0.5, "load_q": 0.1,
+                  "shunt_g": 0.01, "shunt_b": 0.2},
+         cl.Bus(2, "pv", 1.02, 0.5, 0.1, 0.01, 0.2)),
+        (cl.Branch, {"from": 1, "to": 2, "r": 0.01, "x": 0.1, "b_charging": 0.02, "tap": 1.05},
+         cl.Branch(1, 2, 0.01, 0.1, 0.02, 1.05)),
+        (cl.Network, {"base_mva": 100, "f0_hz": 60,
+                      "buses": [{"id": 1, "kind": "slack", "v_setpoint": 1.0},
+                                {"id": 2, "kind": "pq"}],
+                      "branches": [{"from": 1, "to": 2, "r": 0, "x": 0.1}]},
+         cl.Network(100.0, 60.0, (cl.Bus(1, "slack", 1.0), cl.Bus(2, "pq")),
+                    (cl.Branch(1, 2, 0.0, 0.1),))),
+        (cl.Sg, {"bus": 1, "m": 0.1, "xd_prime": 0.2, "p_set": 1.5, "d": 2},
+         cl.Sg(1, 0.1, 0.2, 1.5, 2.0)),
+        (cl.Gfm, {"bus": 3, "tau": 0.1, "lambda_p": 0.02, "lambda_q": 0.03, "kpv": 1, "kiv": 10,
+                  "v_set": 1.01, "p_set": 0.5, "q_set": 0.1},
+         cl.Gfm(3, 0.1, 0.02, 0.03, 1.0, 10.0, 1.01, 0.5, 0.1)),
+        (cl.MachineSet, {"sgs": [{"bus": 1, "m": 0.1, "xd_prime": 0.2, "p_set": 1.5}],
+                         "gfms": [{"bus": 3}]},
+         cl.MachineSet((cl.Sg(1, 0.1, 0.2, 1.5),), (cl.Gfm(3),))),
+        (Replacement, {"retire_sg_bus": 1, "gfm_bus": 3, "gfm_params": {"tau": 0.1}},
+         Replacement(1, 3, {"tau": 0.1})),
+        (ScenarioSpec, {"name": "x", "replacements": [{"retire_sg_bus": 1, "gfm_bus": 3}],
+                        "areas_r": 2, "band_hz": {"lo": 0.2, "hi": 2},
+                        "options": {"lossless": True, "tol": 1e-9, "max_iter": 10}},
+         ScenarioSpec("x", (Replacement(1, 3),), 2, (0.2, 2.0), cl.PowerFlowOptions(1e-9, 10))),
+        (cl.PowerFlowOptions, {"tol": 1e-9, "max_iter": 10.0}, cl.PowerFlowOptions(1e-9, 10)),
+    ]
+    assert len({cls for cls, _, _ in records}) == 9
+    for cls, entry, want in records:
+        assert entry.keys() == {f.metadata.get("key", f.name) for f in dataclasses.fields(cls)}
+        got = read_record(cls, entry, "entry")
+        assert got == want
+        assert [type(v) for v in dataclasses.astuple(got)] == [
+            type(v) for v in dataclasses.astuple(want)]
+    for name in ("base", "scenario1", "scenario2"):
+        path = DATA / f"{name}.json"
+        raw = json.loads(path.read_text())
+        assert read_record(ScenarioSpec, raw, "scenario") == cl.load_scenario(path)
+
+
 def test_negative_max_iter_is_validation_error(net68, ms68):
     """Refused when the options are built, before any Newton step."""
     with pytest.raises(ValidationError, match="max_iter must be nonnegative"):
@@ -285,7 +335,7 @@ def test_retiring_every_sg_promotes_largest_gfm(net68, ms68):
     )
     report = cl.run_pipeline(net68, ms68, spec)
     scen = report.scenario
-    assert scen.machines.sgs == []
+    assert scen.machines.sgs == ()
     biggest = min(scen.machines.gfms, key=lambda g: (-g.p_set, g.bus))
     assert scen.net.slack_id() == biggest.bus == 18
     assert "slack bus 65 retired; bus 18 promoted to slack" in report.warnings
@@ -423,9 +473,12 @@ def test_case_records_are_frozen(report_s1):
     for record, name in [(report_s1, "base"), (case, "slot_buses"), (case.lap, "l"),
                          (case.sub, "w_r"), (case.part, "areas"),
                          (case.modes_all[0], "components"), (report_s1.comparison, "q"),
-                         (report_s1.spec, "areas_r"), (report_s1.spec.options, "max_iter")]:
+                         (report_s1.spec, "areas_r"), (report_s1.spec.options, "max_iter"),
+                         (case.net, "buses"), (case.machines, "sgs")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, None)
+    with pytest.raises(AttributeError):  # a tuple, so the checked network stays as checked
+        case.net.buses.append(cl.Bus(1, "slack", 1.0))
 
 
 def test_scenario_masses_change_only_in_slot(report_s1):
