@@ -198,17 +198,15 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     fam["sg_omega"] = float(np.max(np.abs(freq[: model.n_sg] / sg_m))) if model.n_sg else 0.0
 
     if model.n_gfm:
-        taus, lam_q, q_set, kpv, kiv = machines.gfm_arrays("tau", "lambda_q", "q_set",
-                                                           "kpv", "kiv")
+        taus, lam_q, q_set, kpv = machines.gfm_arrays("tau", "lambda_q", "q_set", "kpv")
         lam_int = np.array([g.lambda_p_internal(net.omega0) for g in machines.gfms])
         fam["gfm_omega"] = float(np.max(np.abs(lam_int * freq[model.n_sg :] / taus)))
         # voltage loop: vs_eff was constructed to zero this at the point
         v = v_rect[:n] + 1j * v_rect[n:]
         q_term = (v * np.conj(model.y_model @ v)).imag[model.gfm_idx]
-        ve_dot = (op.gfm_vs_eff - op.gfm_ve - np.abs(v[model.gfm_idx])
-                  + lam_q * (q_set - q_term)) / taus
+        ve_dot = (op.gfm_vs_eff - np.abs(v[model.gfm_idx]) + lam_q * (q_set - q_term)) / taus
         fam["gfm_ve"] = float(np.max(np.abs(ve_dot)))
-        fam["gfm_e"] = float(np.max(np.abs(kpv * ve_dot + kiv * op.gfm_ve)))
+        fam["gfm_e"] = float(np.max(np.abs(kpv * ve_dot)))
     else:
         fam["gfm_omega"] = fam["gfm_ve"] = fam["gfm_e"] = 0.0
 

@@ -67,10 +67,6 @@ class Gfm:
         return self.tau / self.lambda_p_internal(omega0)
 
 
-# the control-loop defaults, which a scenario's gfm_params may override
-GFM_DEFAULTS = {k: getattr(Gfm, k) for k in ("tau", "lambda_p", "lambda_q", "kpv", "kiv")}
-
-
 @dataclass(frozen=True)
 class MachineSet:
     sgs: tuple[Sg, ...] = ()
@@ -97,12 +93,6 @@ class MachineSet:
     def gfm_arrays(self, *fields: str) -> list[np.ndarray]:
         """One array per named GFM parameter, in fleet order."""
         return [np.array([getattr(g, f) for g in self.gfms]) for f in fields]
-
-    def sg_at(self, bus: int) -> Sg | None:
-        for m in self.sgs:
-            if m.bus == bus:
-                return m
-        return None
 
 
 def load_machines(path: str | Path) -> MachineSet:

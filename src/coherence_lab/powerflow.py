@@ -164,7 +164,6 @@ class OperatingPoint:
     delta: np.ndarray  # SG rotor or GFM voltage angle
     e: np.ndarray  # SG internal EMF or GFM voltage magnitude
     p_eff: np.ndarray  # solved active output
-    gfm_ve: np.ndarray
     gfm_vs_eff: np.ndarray
 
 
@@ -205,6 +204,5 @@ def init_dynamic_states(
         delta=np.angle(u),
         e=e,
         p_eff=p_gen,
-        gfm_ve=np.zeros(len(machines.gfms)),
         gfm_vs_eff=e[n_sg:] - lam_q * (q_set - q_gen[n_sg:]),
     )

@@ -111,7 +111,8 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "band_hz": [spec.band_hz[0], spec.band_hz[1]],
         # lossless is the only model slow coherency accepts
         "options": {"lossless": True, **asdict(spec.options)},
-        "replacements": [asdict(r) for r in spec.replacements],
+        "replacements": [{k: dict(v) if isinstance(v, dict) else v  # gfm_params, read-only
+                          for k, v in asdict(r).items()} for r in spec.replacements],
         "warnings": list(report.warnings),
         "base": case_to_dict(report.base),
         "scenario": case_to_dict(report.scenario) if report.scenario else None,

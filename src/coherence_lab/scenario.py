@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
@@ -47,7 +48,7 @@ from .linearize import (
     state_matrix,
 )
 from .machines import Gfm, MachineSet, load_machines, validate_against_network
-from .network import Bus, Network, load_network
+from .network import Network, load_network
 from .powerflow import (
     OperatingPoint,
     PowerFlowOptions,
@@ -56,14 +57,33 @@ from .powerflow import (
     solve_power_flow,
 )
 
+class _ReadOnlyDict(dict):
+    """A checked replacement's gfm_params: a dict to json and asdict, but read-only."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("gfm_params are read-only; build a new Replacement")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickle and deepcopy rebuild it whole, not key by key
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Replacement:
     retire_sg_bus: int
     gfm_bus: int
-    gfm_params: dict | str = "default"
+    gfm_params: dict | str = "default"  # Gfm fields over the defaults, bus excepted
 
     def __post_init__(self) -> None:
-        check(self)
+        params = self.gfm_params
+        check(self, lambda: [(params == "default" or isinstance(params, dict),
+                              'gfm_params must be an object or "default"'),
+                             (not isinstance(params, dict) or "bus" not in params,
+                              "gfm_params: field 'bus' is not allowed; the GFM sits at gfm_bus")])
+        _new_gfm(self)  # the GFM it installs is valid
+        if isinstance(params, dict):  # held read-only, as checked
+            object.__setattr__(self, "gfm_params", _ReadOnlyDict(params))
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,12 @@ def _read_options(raw) -> PowerFlowOptions:
     return read_record(PowerFlowOptions, raw, "options")
 
 
+def _named_twice(buses, message: str) -> tuple:
+    """errors.check's rule that no bus is named twice, message filled with the first such bus."""
+    twice = [bus for bus, n in Counter(buses).items() if n > 1]
+    return not twice, message, *twice[:1]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str  # names artifacts, heads CSV columns
@@ -108,6 +134,9 @@ class ScenarioSpec:
              "or holds a '/', '\\', ',' or control character", self),
             (self.areas_r >= 1, "areas_r must be at least 1"),
             (self.band_hz[0] < self.band_hz[1], "band_hz lo must be below hi"),  # NaN too
+            _named_twice((r.retire_sg_bus for r in self.replacements), "bus {} retired twice"),
+            _named_twice((r.gfm_bus for r in self.replacements),
+                         "gfm bus {} already has a machine"),
         ])
         store_tuples(self, "replacements")
 
@@ -117,24 +146,30 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    spec = read_record(ScenarioSpec, raw, "scenario")
-    for i, rep in enumerate(spec.replacements):
-        _new_gfm(rep, i)  # its gfm_params are checked now, before any power flow
-    return spec
+    return read_record(ScenarioSpec, raw, "scenario")
 
 
-def _new_gfm(rep: Replacement, i: int, **solved: float) -> Gfm:
-    """The GFM that replacement i installs at its gfm_bus: its gfm_params,
-    a null one read as absent, over the solved set-points given and the Gfm
-    defaults. Code-built and file replacements both pass here."""
-    where = f"replacements[{i}].gfm_params"
+def _new_gfm(rep: Replacement, **solved: float) -> Gfm:
+    """The GFM that rep installs at its gfm_bus: its gfm_params, a null one
+    read as absent, over the solved set-points given and the Gfm defaults."""
     params = {} if rep.gfm_params == "default" else rep.gfm_params
-    if not isinstance(params, dict):
-        raise ValidationError(f"{where} must be an object or \"default\"")
-    if "bus" in params:  # the placement checks of apply_scenario read gfm_bus only
-        raise ValidationError(f"{where}: field 'bus' is not allowed; the GFM sits at gfm_bus")
     given = {k: v for k, v in params.items() if v is not None}
-    return read_record(Gfm, {"bus": rep.gfm_bus, **solved, **given}, where)
+    return read_record(Gfm, {"bus": rep.gfm_bus, **solved, **given}, "gfm_params")
+
+
+def check_placement(net: Network, machines: MachineSet, spec: ScenarioSpec) -> None:
+    """The scenario rules that need the grid: each retired bus holds an SG, and each GFM
+    bus is in the network, holds no machine of the base fleet (a retiring one too), is pq."""
+    sgs, held = {m.bus for m in machines.sgs}, set(machines.machine_buses)
+    for rep in spec.replacements:
+        if rep.retire_sg_bus not in sgs:
+            raise ValidationError(f"no SG to retire at bus {rep.retire_sg_bus}")
+        if rep.gfm_bus not in net.index_of:
+            raise ValidationError(f"gfm bus {rep.gfm_bus} not in network")
+        if rep.gfm_bus in held:
+            raise ValidationError(f"gfm bus {rep.gfm_bus} already has a machine")
+        if (kind := net.bus(rep.gfm_bus).kind) != "pq":
+            raise ValidationError(f"gfm bus {rep.gfm_bus} must start as pq, got {kind}")
 
 
 def apply_scenario(
@@ -143,7 +178,7 @@ def apply_scenario(
     spec: ScenarioSpec,
     base_sol: PowerFlowSolution,
 ) -> tuple[Network, MachineSet, list[str]]:
-    """Build the scenario network and machine fleet from the solved base.
+    """Build the scenario network and machine fleet from the solved base, after check_placement.
 
     Retired buses become pq; each GFM bus becomes pv holding the base-case
     solved magnitude (unless the replacement overrides v_set). GFM power
@@ -152,55 +187,29 @@ def apply_scenario(
     retires, the remaining SG with the largest schedule is promoted; with
     no SG left, the GFM with the largest schedule.
     """
-    warnings: list[str] = []
-
-    retired: list[int] = []
-    new_gfms: list[Gfm] = []
+    check_placement(net, machines, spec)
     retiring = {r.retire_sg_bus for r in spec.replacements}
     remaining_sgs = [m for m in machines.sgs if m.bus not in retiring]
-    occupied = {m.bus for m in [*remaining_sgs, *machines.gfms]}
-    for i, rep in enumerate(spec.replacements):
-        sg = machines.sg_at(rep.retire_sg_bus)
-        if sg is None:
-            raise ValidationError(f"no SG to retire at bus {rep.retire_sg_bus}")
-        if rep.retire_sg_bus in retired:
-            raise ValidationError(f"bus {rep.retire_sg_bus} retired twice")
-        if rep.gfm_bus not in net.index_of:
-            raise ValidationError(f"gfm bus {rep.gfm_bus} not in network")
-        if rep.gfm_bus in occupied:
-            raise ValidationError(f"gfm bus {rep.gfm_bus} already has a machine")
-        retired.append(rep.retire_sg_bus)
-
+    new_gfms: list[Gfm] = []
+    for rep in spec.replacements:
         k = net.index_of[rep.retire_sg_bus]
-        bus = net.buses[k]
-        p_solved = base_sol.p_inj[k] + bus.load_p
-        q_solved = base_sol.q_inj[k] + bus.load_q
+        p_solved = base_sol.p_inj[k] + net.buses[k].load_p
+        q_solved = base_sol.q_inj[k] + net.buses[k].load_q
         v_here = float(np.abs(base_sol.v[net.index_of[rep.gfm_bus]]))
-        new_gfms.append(_new_gfm(rep, i, p_set=round(float(p_solved), 12),
+        new_gfms.append(_new_gfm(rep, p_set=round(float(p_solved), 12),
                                  q_set=round(float(q_solved), 12), v_set=round(v_here, 12)))
-        occupied.add(rep.gfm_bus)
 
-    slack = net.slack_id()
-    new_buses: list[Bus] = []
     gfm_vset = {g.bus: g.v_set for g in new_gfms}
-    for b in net.buses:
-        if b.id in retired:
-            new_buses.append(dc_replace(b, kind="pq", v_setpoint=None))
-        elif b.id in gfm_vset:
-            if b.kind != "pq":
-                raise ValidationError(f"gfm bus {b.id} must start as pq, got {b.kind}")
-            new_buses.append(dc_replace(b, kind="pv", v_setpoint=gfm_vset[b.id]))
-        else:
-            new_buses.append(b)
-
+    new_buses = [dc_replace(b, kind="pq", v_setpoint=None) if b.id in retiring
+                 else dc_replace(b, kind="pv", v_setpoint=gfm_vset[b.id]) if b.id in gfm_vset
+                 else b for b in net.buses]
     gfms = list(machines.gfms) + new_gfms
-    if slack in retired:
+    warnings: list[str] = []
+    if (slack := net.slack_id()) in retiring:
         # GFMs form voltage too, so a fleet without SGs still has a slack
         promoted = min(remaining_sgs or gfms, key=lambda m: (-m.p_set, m.bus)).bus
         warnings.append(f"slack bus {slack} retired; bus {promoted} promoted to slack")
-        new_buses = [
-            dc_replace(b, kind="slack") if b.id == promoted else b for b in new_buses
-        ]
+        new_buses = [dc_replace(b, kind="slack") if b.id == promoted else b for b in new_buses]
 
     net2 = dc_replace(net, buses=new_buses)
     machines2 = MachineSet(sgs=remaining_sgs, gfms=gfms)
@@ -348,7 +357,9 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
     Each case's eigensolve runs on one worker thread shared by the process
     while this thread goes on, and both cases are finished before
     compare_cases. Results and errors are those of the sequential chain:
-    the whole base case, its eigensolve too, fails before the scenario."""
+    the whole base case, its eigensolve too, fails before the scenario,
+    and a placement fault before either."""
+    check_placement(net, machines, spec)
     base_sol, finish_base = _analyze_case(net, machines, spec, machines.machine_buses)
     if not spec.replacements:
         return ScenarioReport(spec=spec, base=finish_base())

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior and the exit-code contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from coherence_lab.errors import (
     PipelineError,
     ValidationError,
 )
-from coherence_lab.machines import GFM_DEFAULTS
+from coherence_lab.machines import Gfm
 
 from conftest import DATA, two_bus_dicts
 
@@ -272,7 +273,7 @@ def test_gfm_params_bus_is_validation_error(tmp_path, capsys, bus):
         "--scenario", sp, "--out", tmp_path / "o",
     ])
     assert rc == 1
-    assert "replacements[0].gfm_params: field 'bus'" in capsys.readouterr().err
+    assert "replacements[0]: gfm_params: field 'bus'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -296,7 +297,7 @@ def test_gfm_params_are_checked_at_load(tmp_path, capsys, monkeypatch, params, f
         "--scenario", sp, "--out", tmp_path / "o",
     ])
     assert rc == 1
-    assert re.search(r"replacements\[0\]\.gfm_params: " + fragment, capsys.readouterr().err)
+    assert re.search(r"replacements\[0\]: gfm_params: " + fragment, capsys.readouterr().err)
     assert calls == []
 
 
@@ -404,7 +405,7 @@ MUTABLE = {name: list(numeric_paths(doc)) for name, doc in INPUTS.items()}
 MUTABLE["scenario"] += [
     ("replacements", i, "gfm_params", k)
     for i in range(len(INPUTS["scenario"]["replacements"]))
-    for k in [*GFM_DEFAULTS, "v_set", "p_set", "q_set"]
+    for k in [f.name for f in dataclasses.fields(Gfm) if f.name != "bus"]
 ]
 EXIT_CODES = {e.exit_code for e in (
     CoherenceLabError, ValidationError, ConvergenceError, PipelineError, InputOutputError)}

@@ -1,9 +1,11 @@
 """Scenario parsing, SG-to-GFM replacement mechanics, pipeline wiring,
 and batch execution."""
 
+import copy
 import dataclasses
 import json
 import multiprocessing
+import pickle
 import sys
 import threading
 import time
@@ -16,7 +18,12 @@ from hypothesis import strategies as st
 
 import coherence_lab as cl
 from coherence_lab import reportio, scenario as scenario_mod
-from coherence_lab.errors import CoherenceLabError, PipelineError, ValidationError
+from coherence_lab.errors import (
+    CoherenceLabError,
+    ConvergenceError,
+    PipelineError,
+    ValidationError,
+)
 from coherence_lab.linearize import build_linear_model
 from coherence_lab.scenario import (
     BatchJob,
@@ -105,7 +112,7 @@ def test_scenario_null_field_reads_as_default(field):
                   "tab\there", "line\nbreak", "nul\x00", "del\x7f", "c1\x85")],
     ({"name": "x", "areas_r": 2,
       "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"bus": 30}}]},
-     r"replacements\[0\]\.gfm_params: field 'bus' is not allowed"),
+     r"replacements\[0\]: gfm_params: field 'bus' is not allowed"),
     ({"name": "x", "replacements": [], "areas_r": 2, "options": {"max_iter": -1}},
      "max_iter must be nonnegative"),
     ({"name": "x", "replacements": [], "areas_r": 2, "band_hz": {"lo": float("nan"), "hi": 1}},
@@ -130,7 +137,19 @@ def test_scenario_null_field_reads_as_default(field):
      "options: bad value True for field 'tol': expected a number"),
     ({"name": "x", "areas_r": 2,
       "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"tauu": 0.1}}]},
-     r"replacements\[0\]\.gfm_params: unknown fields \['tauu'\]"),
+     r"replacements\[0\]: gfm_params: unknown fields \['tauu'\]"),
+    ({"name": "x", "areas_r": 2, "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37},
+                                                  {"retire_sg_bus": 65, "gfm_bus": 36}]},
+     "^scenario: bus 65 retired twice$"),
+    ({"name": "x", "areas_r": 2, "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37},
+                                                  {"retire_sg_bus": 64, "gfm_bus": 37}]},
+     "^scenario: gfm bus 37 already has a machine$"),
+    ({"name": "x", "areas_r": 2,
+      "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": {"tau": -1.0}}]},
+     r"^replacements\[0\]: gfm_params: tau must be positive$"),
+    ({"name": "x", "areas_r": 2,
+      "replacements": [{"retire_sg_bus": 65, "gfm_bus": 37, "gfm_params": "fast"}]},
+     r"^replacements\[0\]: gfm_params must be an object or \"default\"$"),
 ])
 def test_scenario_parsing_rejects(raw, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -166,11 +185,15 @@ def test_scenario_parsing_rejects(raw, fragment):
     (cl.Network, (100.0, 60.0, [cl.Bus(1, "slack", 1.0), cl.Bus(2, "slack", 1.0)], []), {},
      "expected exactly one slack bus, found 2"),
     (cl.Bus, (1, "weird"), {}, "bus 1: bad kind 'weird'"),
+    (ScenarioSpec, ("x", [Replacement(65, 37), Replacement(65, 36)], 2), {},
+     "^bus 65 retired twice$"),
+    (ScenarioSpec, ("x", [Replacement(65, 37), Replacement(64, 37)], 2), {},
+     "^gfm bus 37 already has a machine$"),
 ], ids=["name", "areas_r", "band_hz", "band_hz-nan", "tol", "tol-nan",
         "name-type", "areas_r-type", "sg-m", "gfm-lambda_p", "gfm-tau",
         "band_hz-type", "sg-m-type", "max_iter-type", "pv-without-v_setpoint", "f0_hz",
         "endpoint", "tap", "zero-impedance", "load_p-type", "duplicate-id", "two-slacks",
-        "bus-kind"])
+        "bus-kind", "retired-twice", "gfm-bus-twice"])
 def test_code_built_records_check_themselves(record, args, kwargs, fragment):
     """A record built in code passes the rules a file does."""
     with pytest.raises(ValidationError, match=fragment):
@@ -303,12 +326,12 @@ def test_apply_scenario_rewires_buses(net68, ms68, sol68):
     net2, ms2, warns = apply_scenario(net68, ms68, s1_spec(), sol68)
     assert net2.bus(65).kind == "pq"
     assert net2.bus(37).kind == "pv"
-    assert ms2.sg_at(65) is None
+    assert 65 not in [m.bus for m in ms2.sgs]
     assert 37 in [g.bus for g in ms2.gfms]
     assert len(ms2.sgs) == len(ms68.sgs) - 1
     # originals untouched
     assert net68.bus(65).kind == "slack"
-    assert ms68.sg_at(65) is not None
+    assert 65 in [m.bus for m in ms68.sgs]
 
 
 def test_apply_scenario_promotes_slack(net68, ms68, sol68):
@@ -364,31 +387,95 @@ def test_gfm_param_overrides(net68, ms68, sol68):
     g = gfm_at(ms2, 37)
     assert g.tau == 0.1
     assert g.lambda_p == 0.02
-    assert g.lambda_q == cl.machines.GFM_DEFAULTS["lambda_q"]
+    assert g.lambda_q == cl.Gfm.lambda_q
 
 
-@pytest.mark.parametrize("reps, fragment", [
-    ([Replacement(99, 37)], "no SG to retire"),
-    ([Replacement(65, 37), Replacement(65, 36)], "retired twice"),
-    ([Replacement(65, 999)], "not in network"),
-    ([Replacement(65, 66)], "already has a machine"),
-    ([Replacement(65, 37, gfm_params={"tau": "slow"})],
-     r"replacements\[0\]\.gfm_params: bad value 'slow' for field 'tau'"),
-    ([Replacement(65, 37, gfm_params={"lambda_p": 0})],
-     r"replacements\[0\]\.gfm_params: lambda_p must be positive"),
-    ([Replacement(65, 37, gfm_params={"lambda_p": -1})],
-     r"replacements\[0\]\.gfm_params: lambda_p must be positive"),
-    ([Replacement(65, 37), Replacement(64, 36, gfm_params={"tau": -1})],
-     r"replacements\[1\]\.gfm_params: tau must be positive"),
-    ([Replacement(65, 37, gfm_params={"tau": float("inf")})],
-     r"replacements\[0\]\.gfm_params: bad value inf for field 'tau'"),
-    ([Replacement(65, 37, gfm_params={"bus": 53})],
-     r"replacements\[0\]\.gfm_params: field 'bus' is not allowed"),
-])
-def test_apply_scenario_rejects(net68, ms68, sol68, reps, fragment):
-    spec = ScenarioSpec(name="bad", replacements=reps, areas_r=5)
+# each placement fault, one replacement at a time; SG bus 66 stays, SG bus 65 retires
+PLACEMENT_FAULTS = [
+    (Replacement(99, 37), "^no SG to retire at bus 99$"),
+    (Replacement(65, 999), "^gfm bus 999 not in network$"),
+    (Replacement(65, 66), "^gfm bus 66 already has a machine$"),
+    (Replacement(65, 65), "^gfm bus 65 already has a machine$"),
+]
+
+
+@pytest.mark.parametrize("rep, fragment", PLACEMENT_FAULTS)
+def test_apply_scenario_rejects(net68, ms68, sol68, rep, fragment):
+    spec = ScenarioSpec(name="bad", replacements=[rep], areas_r=5)
     with pytest.raises(ValidationError, match=fragment):
         apply_scenario(net68, ms68, spec, sol68)
+
+
+@pytest.mark.parametrize("rep, fragment", PLACEMENT_FAULTS)
+def test_placement_fault_is_refused_before_any_power_flow(net68, ms68, monkeypatch,
+                                                          rep, fragment):
+    calls = []
+    solve = scenario_mod.solve_power_flow
+    monkeypatch.setattr(scenario_mod, "solve_power_flow",
+                        lambda *a: calls.append(1) or solve(*a))
+    with pytest.raises(ValidationError, match=fragment):
+        cl.run_pipeline(net68, ms68, ScenarioSpec(name="bad", replacements=[rep], areas_r=5))
+    assert calls == []
+
+
+def test_gfm_bus_must_start_as_pq(net68, ms68, monkeypatch):
+    """A pv bus with no machine fails the base case, but the placement
+    check, which comes first, names the GFM bus."""
+    calls = []
+    monkeypatch.setattr(scenario_mod, "solve_power_flow", lambda *a: calls.append(1))
+    net = dataclasses.replace(net68, buses=[
+        dataclasses.replace(b, kind="pv", v_setpoint=1.0) if b.id == 37 else b
+        for b in net68.buses])
+    with pytest.raises(ValidationError, match="^gfm bus 37 must start as pq, got pv$"):
+        cl.run_pipeline(net, ms68, s1_spec())
+    assert calls == []
+
+
+@pytest.mark.parametrize("params, fragment", [
+    ({"tau": "slow"}, "gfm_params: bad value 'slow' for field 'tau'"),
+    ({"lambda_p": 0}, "gfm_params: lambda_p must be positive"),
+    ({"lambda_p": -1}, "gfm_params: lambda_p must be positive"),
+    ({"tau": -1}, "gfm_params: tau must be positive"),
+    ({"tau": float("inf")}, "gfm_params: bad value inf for field 'tau'"),
+    ({"bus": 53}, "gfm_params: field 'bus' is not allowed"),
+    ({"tauu": 0.1}, r"gfm_params: unknown fields \['tauu'\]"),
+    ("fast", 'gfm_params must be an object or "default"'),
+])
+def test_replacement_checks_its_gfm_params(params, fragment):
+    """A replacement built in code is refused when it is built, before it
+    can join a spec."""
+    with pytest.raises(ValidationError, match=f"^{fragment}"):
+        Replacement(65, 37, gfm_params=params)
+
+
+def test_checked_gfm_params_are_read_only(net68, ms68):
+    """A spec's gfm_params cannot change after their check, yet the spec
+    pickles, deep-copies and is replaced like any record, and its report
+    writes them as a plain dict would."""
+    raw = json.loads((DATA / "scenario1.json").read_text())
+    raw["replacements"][0]["gfm_params"] = {"tau": 0.1, "kpv": None}
+    spec = scenario_from_dict(raw)
+    params = spec.replacements[0].gfm_params
+    for write in (lambda: params.__setitem__("tau", -1.0), lambda: params.pop("tau"),
+                  lambda: params.update(tau=-1.0), lambda: params.clear(),
+                  lambda: params.setdefault("kiv", -1.0), lambda: params.__delitem__("tau"),
+                  lambda: params.popitem()):
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    with pytest.raises(TypeError, match="read-only"):
+        params |= {"tau": -1.0}
+    assert params == {"tau": 0.1, "kpv": None}
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert twin == spec
+        with pytest.raises(TypeError, match="read-only"):
+            twin.replacements[0].gfm_params["tau"] = -1.0
+    moved = dataclasses.replace(spec.replacements[0], gfm_bus=36)
+    assert moved.gfm_params == params and moved.gfm_bus == 36
+    with pytest.raises(ValidationError, match="tau must be positive"):
+        dataclasses.replace(spec.replacements[0], gfm_params={"tau": -1.0})
+
+    (rep,) = reportio.report_to_dict(cl.run_pipeline(net68, ms68, spec))["replacements"]
+    assert type(rep["gfm_params"]) is dict and rep["gfm_params"] == params
 
 
 def reactive_case(net, ms, spec):
@@ -432,7 +519,7 @@ def test_gfm_replacement_keeps_weighted_laplacian(data):
     field = data.draw(st.sampled_from(["tau", "lambda_p"]), label="field")
     k = data.draw(st.floats(0.1, 10.0), label="factor")
     reps[j] = dataclasses.replace(
-        reps[j], gfm_params={field: cl.machines.GFM_DEFAULTS[field] * k})
+        reps[j], gfm_params={field: getattr(cl.Gfm, field) * k})
     try:
         _, _, _, scaled = reactive_case(net, ms, ScenarioSpec("p", reps, areas_r=1))
     except CoherenceLabError:
@@ -673,12 +760,12 @@ def test_base_eigensolve_error_comes_before_scenario_error(net68, ms68, monkeypa
     its error is raised first, as the sequential chain, which finishes the
     base case before the scenario starts, raises it."""
     def slow_failure(a, n_r):
-        time.sleep(0.2)  # still running when apply_scenario refuses the spec
+        time.sleep(0.2)  # still running when the scenario power flow fails
         raise PipelineError("base eigensolve failed")
 
-    occupied = ms68.sgs[1].bus
-    spec = ScenarioSpec("clash", [Replacement(ms68.sgs[0].bus, occupied)], areas_r=5)
-    with pytest.raises(ValidationError, match=f"gfm bus {occupied} already has a machine"):
+    # a valid placement whose scenario power flow diverges
+    spec = ScenarioSpec("diverges", [Replacement(65, 30)], areas_r=5)
+    with pytest.raises(ConvergenceError):
         cl.run_pipeline(net68, ms68, spec)
     monkeypatch.setattr(scenario_mod, "mode_shapes", slow_failure)
     with pytest.raises(PipelineError, match="base eigensolve failed"):
