@@ -22,6 +22,15 @@ from .linearize import LaplacianPair, symmetry_gap
 SYMMETRY_TOL = 1e-8
 ZERO_EVAL_REL = 1e-10
 BETA_FLOOR = 1e-12
+# An oscillation is an eigenvalue whose imaginary part exceeds OSC_REL
+# sqrt(eps ||A||_1). Undamped SGs (d = 0) give the state matrix a defective
+# double zero eigenvalue, the rigid rotation and its Jordan partner, which
+# roundoff splits by O(sqrt(eps ||A||)) (Golub and Van Loan, Matrix
+# Computations, 7.2), real or imaginary at random. Measured on the 68-bus
+# case with shuffled bus and branch orders and on rings of 40 to 400 buses:
+# that split reaches 1.8 sqrt(eps ||A||_1) (3.9e-7 rad/s), and the slowest
+# true mode 1.5e6 of it (0.57 rad/s). 1e3 sits near the geometric middle.
+OSC_REL = 1e3
 
 
 @dataclass(frozen=True)
@@ -156,7 +165,7 @@ def mode_shapes(a: np.ndarray, n_r: int) -> list[ModeShape]:
     scaled so the largest entry is exactly 1.
     """
     vals, vecs = np.linalg.eig(a)
-    osc = vals.imag > 1e-9
+    osc = vals.imag > OSC_REL * np.sqrt(np.finfo(float).eps * np.linalg.norm(a, 1))
     lams = vals[osc]
     comps = vecs[n_r : 2 * n_r][:, osc].T  # one row per mode
     pivots = comps[np.arange(lams.size), np.argmax(np.abs(comps), axis=1)][:, None]

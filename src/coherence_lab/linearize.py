@@ -190,10 +190,7 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     freq = frequency_residual(model, delta, gfm_e, v_rect)
     alg = algebraic_residual(model, delta, gfm_e, v_rect)
 
-    fam: dict[str, float] = {}
-    # angle equations are omega - omega0 = 0 exactly at init
-    fam["sg_delta"] = 0.0
-    fam["gfm_delta"] = 0.0
+    fam: dict[str, float] = {}  # angle rows, omega - omega0, are 0 at init by construction
     sg_m = np.array([m.m for m in machines.sgs])
     fam["sg_omega"] = float(np.max(np.abs(freq[: model.n_sg] / sg_m))) if model.n_sg else 0.0
 

@@ -14,7 +14,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
@@ -244,9 +244,10 @@ _eig_worker: ThreadPoolExecutor
 
 
 def _new_eig_worker() -> None:
-    """One worker thread, shared by the whole process, runs every case's
-    dense eigensolve; the executor starts it at the first submit. A forked
-    child, which has none of its parent's threads, gets a new executor."""
+    """One worker thread, shared by the whole process, runs the rest of a
+    base case beside its scenario case, or a base-only case's eigensolve;
+    the executor starts it at the first submit. A forked child, which has
+    none of its parent's threads, gets a new executor."""
     global _eig_worker
     _eig_worker = ThreadPoolExecutor(1, thread_name_prefix="coherence-lab-eig")
 
@@ -256,21 +257,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_eig_worker)
 
 
+def _run_here(fn: Callable, *args) -> Future:
+    """fn(*args) run at once on this thread, as a finished future: the
+    submit for a finish that runs its eigensolve itself."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:  # raised by done.result()
+        done.set_exception(exc)
+    return done
+
+
 def _analyze_case(
     net: Network,
     machines: MachineSet,
     spec: ScenarioSpec,
     slot_buses: list[int],
-) -> tuple[PowerFlowSolution, Callable[[], CaseResult]]:
-    """Power flow through modal analysis for one machine fleet: the solved
-    power flow, and finish() that returns the CaseResult.
+) -> tuple[PowerFlowSolution, Callable[..., CaseResult]]:
+    """Power flow through modal analysis for one machine fleet. This thread
+    runs the power flow, the equilibrium gate and the dispatch Jacobian
+    blocks; it returns the solved power flow and finish(submit), which runs
+    the rest on whichever thread calls it and returns the CaseResult.
 
-    The dispatch state matrix is built first, and its eigensolve runs on
-    the eig worker while this thread reduces the reactive model and the
-    caller goes on until finish(). A failure still comes out in the order
-    of the sequential chain: power flow, equilibrium gate, reactive model,
-    kron_reduce, slow_eigensolve, state_matrix, eig, group_machines. The
-    dispatch and reactive models are never alive together.
+    finish builds the dispatch state matrix, which drops the blocks, and
+    hands its eigensolve to submit(mode_shapes, a, n_r), a future of the
+    modes: _eig_worker.submit runs it beside the reactive chain, _run_here
+    at once on finish's thread, before that chain. Never _eig_worker.submit
+    from a finish on the worker itself: it would wait on itself. A
+    failure still comes out in the order of the sequential chain: power
+    flow, equilibrium gate, reactive model, kron_reduce, slow_eigensolve,
+    state_matrix, eig, group_machines. The dispatch and reactive models are
+    never alive together.
 
     The linearization orders machines SGs first, then GFMs; this is the
     one place that maps that order onto slot_buses, by exact indexing, so
@@ -279,28 +296,27 @@ def _analyze_case(
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op, lossless=False)
     eq = check_equilibrium(dispatch)
-    blocks = build_jacobians(dispatch)
+    blocks = [build_jacobians(dispatch)]  # finish pops them: freed once the state matrix is built
     del dispatch  # and its dense admittance matrix, before any solve
-    held = None
-    try:
-        modes = _eig_worker.submit(mode_shapes, state_matrix(blocks), len(slot_buses))
-    except Exception as exc:  # raised once the reactive chain has run
-        held = exc
-    del blocks
 
-    row_of = {b: i for i, b in enumerate(machines.machine_buses)}
-    perm = np.array([row_of[b] for b in slot_buses], dtype=int)
-    native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
-    lap = LaplacianPair(
-        l=native.l[np.ix_(perm, perm)],
-        m_e=native.m_e[perm],
-        feedthrough_e=native.feedthrough_e[perm, :],
-    )
-    sub = slow_eigensolve(lap, spec.areas_r)
-    if held:
-        raise held
+    def finish(submit: Callable[..., Future]) -> CaseResult:
+        held = None
+        try:
+            modes = submit(mode_shapes, state_matrix(blocks.pop()), len(slot_buses))
+        except Exception as exc:  # raised once the reactive chain has run
+            held = exc
 
-    def finish() -> CaseResult:
+        row_of = {b: i for i, b in enumerate(machines.machine_buses)}
+        perm = np.array([row_of[b] for b in slot_buses], dtype=int)
+        native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
+        lap = LaplacianPair(
+            l=native.l[np.ix_(perm, perm)],
+            m_e=native.m_e[perm],
+            feedthrough_e=native.feedthrough_e[perm, :],
+        )
+        sub = slow_eigensolve(lap, spec.areas_r)
+        if held:
+            raise held
         modes_all = [dc_replace(m, components=m.components[perm]) for m in modes.result()]
         lo, hi = spec.band_hz
         return CaseResult(
@@ -354,30 +370,33 @@ def compare_cases(
 def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> ScenarioReport:
     """The base case; with replacements, the scenario case and compare_cases.
 
-    Each case's eigensolve runs on one worker thread shared by the process
-    while this thread goes on, and both cases are finished before
-    compare_cases. Results and errors are those of the sequential chain:
-    the whole base case, its eigensolve too, fails before the scenario,
-    and a placement fault before either."""
+    This thread solves the base case up to its Jacobian blocks. With
+    replacements, the rest of the base case runs on the eig worker, one
+    thread shared by the process, while this thread runs the whole
+    scenario case, so the two cases' eigensolves overlap. A base-only run
+    sends only its eigensolve to the worker, beside its reactive chain.
+    Results and errors are those of the sequential chain: the whole base
+    case fails before the scenario, and a placement fault before either."""
     check_placement(net, machines, spec)
     base_sol, finish_base = _analyze_case(net, machines, spec, machines.machine_buses)
     if not spec.replacements:
-        return ScenarioReport(spec=spec, base=finish_base())
+        return ScenarioReport(spec=spec, base=finish_base(_eig_worker.submit))
 
+    base = _eig_worker.submit(finish_base, _run_here)
     try:
         net2, machines2, warnings = apply_scenario(net, machines, spec, base_sol=base_sol)
         slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
         _, finish_scen = _analyze_case(
             net2, machines2, spec, [slot_map.get(b, b) for b in machines.machine_buses])
+        scen = finish_scen(_run_here)
     except Exception:
-        finish_base()  # a base-case failure comes out first
+        base.result()  # a base-case failure comes out first
         raise
-    base, scen = finish_base(), finish_scen()
-    comparison, mode_track, flipped = compare_cases(base, scen)
+    comparison, mode_track, flipped = compare_cases(base.result(), scen)
 
     return ScenarioReport(
         spec=spec,
-        base=base,
+        base=base.result(),
         scenario=scen,
         comparison=comparison,
         mode_track=mode_track,

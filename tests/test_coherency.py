@@ -17,7 +17,7 @@ import coherence_lab as cl
 from coherence_lab.coherency import ZERO_EVAL_REL
 from coherence_lab.errors import PipelineError, ValidationError
 
-from conftest import lap_from_weights, random_lap_pair
+from conftest import build_small_system, lap_from_weights, random_lap_pair
 from oracles import subspace_angles
 
 
@@ -375,3 +375,27 @@ def test_band_filter(case_base):
         assert lo <= m.freq_hz <= hi
     in_band = [m for m in case_base.modes_all if lo <= m.freq_hz <= hi]
     assert len(in_band) == len(case_base.modes_band)
+
+
+@pytest.mark.parametrize("n_m", [4, 6, 8, 10, 20])
+def test_undamped_ring_counts_only_true_oscillations(n_m):
+    """Every SG of a ring has d = 0, so the base state matrix has a defective
+    double zero eigenvalue, the rigid rotation and its Jordan partner.
+    Roundoff splits it by about 1e-7 rad/s, real or imaginary at random; it
+    is never a mode, so n_m machines give n_m - 1 modes."""
+    for seed in range(4):
+        net, ms = build_small_system(seed, n_m=n_m)
+        base = cl.run_pipeline(net, ms, cl.ScenarioSpec("b", [], areas_r=2)).base
+        assert len(base.modes_all) == n_m - 1, f"seed {seed}"
+
+
+def test_band_from_zero_holds_no_rigid_body_mode():
+    """A band may start at 0 Hz. The split zero pair of the undamped base is
+    neither a band mode nor tracked into the scenario."""
+    net, ms = build_small_system(1, n_m=6)  # SG i at bus 7 + i feeds grid bus 1 + i
+    spec = cl.ScenarioSpec("b", [cl.Replacement(9, 3)], areas_r=2, band_hz=(0.0, 2.0))
+    report = cl.run_pipeline(net, ms, spec)
+    assert report.base.modes_band
+    assert min(m.freq_hz for m in report.base.modes_band) > 0.1
+    assert [row["base_freq_hz"] for row in report.mode_track] == [
+        m.freq_hz for m in report.base.modes_band]

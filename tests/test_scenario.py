@@ -772,6 +772,68 @@ def test_base_eigensolve_error_comes_before_scenario_error(net68, ms68, monkeypa
         cl.run_pipeline(net68, ms68, spec)
 
 
+def traced_threads(monkeypatch, *names) -> dict:
+    """Patch each named stage of the pipeline to record the thread of its
+    last call, by name, in the returned dict."""
+    threads = {}
+    for name in names:
+        def traced(*args, name=name, real=getattr(scenario_mod, name)):
+            threads[name] = threading.current_thread()
+            return real(*args)
+
+        monkeypatch.setattr(scenario_mod, name, traced)
+    return threads
+
+
+def test_both_cases_eigensolves_run_at_once(net68, ms68, monkeypatch):
+    """With replacements, the base case finishes on the eig worker while this
+    thread runs the scenario case, so both eigensolves are in flight
+    together. Run one after the other, they would break the barrier after
+    its timeout instead of hanging."""
+    barrier = threading.Barrier(2, timeout=10)
+    real = scenario_mod.mode_shapes
+    threads = []
+
+    def meet(a, n_r):
+        threads.append(threading.current_thread())
+        barrier.wait()
+        return real(a, n_r)
+
+    monkeypatch.setattr(scenario_mod, "mode_shapes", meet)
+    cl.run_pipeline(net68, ms68, s1_spec())
+    worker, caller = sorted(threads, key=lambda t: t is threading.current_thread())
+    assert worker.name.startswith("coherence-lab-eig")
+    assert caller is threading.current_thread()
+
+
+def test_base_failure_on_the_worker_beats_a_finished_scenario(net68, ms68, monkeypatch):
+    """The base case's reactive chain, on the eig worker, fails; the scenario
+    case, on this thread, finishes. run_pipeline raises the base failure."""
+    threads = traced_threads(monkeypatch, "group_machines")
+    real = scenario_mod.kron_reduce
+
+    def kron_reduce(blocks):
+        if blocks.machines is ms68:  # the base fleet
+            threads["base kron_reduce"] = threading.current_thread()
+            raise PipelineError("base kron_reduce failed")
+        return real(blocks)
+
+    monkeypatch.setattr(scenario_mod, "kron_reduce", kron_reduce)
+    with pytest.raises(PipelineError, match="^base kron_reduce failed$"):
+        cl.run_pipeline(net68, ms68, s1_spec())
+    assert threads["base kron_reduce"].name.startswith("coherence-lab-eig")
+    assert threads["group_machines"] is threading.current_thread()  # the scenario's, the last stage
+
+
+def test_base_only_run_sends_its_eigensolve_to_the_worker(net68, ms68, monkeypatch):
+    """With no scenario case to overlap, a base-only run overlaps its own
+    eigensolve, on the eig worker, with its reactive chain on this thread."""
+    threads = traced_threads(monkeypatch, "mode_shapes", "kron_reduce")
+    cl.run_pipeline(net68, ms68, cl.load_scenario(DATA / "base.json"))
+    assert threads["mode_shapes"].name.startswith("coherence-lab-eig")
+    assert threads["kron_reduce"] is threading.current_thread()
+
+
 def test_pipeline_deterministic_laplacian(net68, ms68):
     spec = s1_spec()
     r1 = cl.run_pipeline(net68, ms68, spec)
