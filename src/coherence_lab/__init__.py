@@ -55,56 +55,3 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchJob",
-    "Branch",
-    "Bus",
-    "CoherenceLabError",
-    "ConvergenceError",
-    "EpsilonSplit",
-    "Gfm",
-    "InputOutputError",
-    "JacobianBlocks",
-    "LaplacianPair",
-    "MachineSet",
-    "ModeShape",
-    "Network",
-    "OperatingPoint",
-    "Partition",
-    "PipelineError",
-    "PowerFlowOptions",
-    "PowerFlowSolution",
-    "Replacement",
-    "ScenarioReport",
-    "ScenarioSpec",
-    "Sg",
-    "SlowSubspace",
-    "SubspaceComparison",
-    "ValidationError",
-    "apply_scenario",
-    "batch_run",
-    "build_admittance",
-    "build_jacobians",
-    "build_linear_model",
-    "check_equilibrium",
-    "compare_cases",
-    "compare_subspaces",
-    "connectivity_check",
-    "epsilon_decompose",
-    "group_machines",
-    "init_dynamic_states",
-    "kron_reduce",
-    "load_machines",
-    "load_network",
-    "load_scenario",
-    "mode_shapes",
-    "row_sum_check",
-    "run_pipeline",
-    "slow_eigensolve",
-    "slow_variable",
-    "solve_power_flow",
-    "state_matrix",
-    "symmetry_gap",
-    "track_modes",
-]

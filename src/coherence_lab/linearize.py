@@ -22,7 +22,6 @@ voltage-source constraint V = E exp(j delta).
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -429,21 +428,17 @@ class RowSumStats:
     mean: float
     std: float
     max: float
-    runtime_s: float
 
 
 def row_sum_check(l: np.ndarray) -> RowSumStats:
     """Statistics of |L 1|; exact zero row sums are the conservation law
     the reduction must preserve."""
-    t0 = time.perf_counter()
     r = np.abs(l @ np.ones(l.shape[0]))
-    stats = RowSumStats(
+    return RowSumStats(
         mean=float(np.mean(r)),
         std=float(np.std(r)),
         max=float(np.max(r)),
-        runtime_s=time.perf_counter() - t0,
     )
-    return stats
 
 
 def symmetry_gap(l: np.ndarray) -> float:

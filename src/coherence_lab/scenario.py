@@ -14,7 +14,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
@@ -244,10 +244,10 @@ _eig_worker: ThreadPoolExecutor
 
 
 def _new_eig_worker() -> None:
-    """One worker thread, shared by the whole process, runs the rest of a
-    base case beside its scenario case, or a base-only case's eigensolve;
-    the executor starts it at the first submit. A forked child, which has
-    none of its parent's threads, gets a new executor."""
+    """One worker thread, shared by the whole process, finishes a base case
+    while its scenario case runs on the caller; the executor starts it at
+    the first submit. A forked child, which has none of its parent's
+    threads, gets a new executor."""
     global _eig_worker
     _eig_worker = ThreadPoolExecutor(1, thread_name_prefix="coherence-lab-eig")
 
@@ -257,37 +257,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_eig_worker)
 
 
-def _run_here(fn: Callable, *args) -> Future:
-    """fn(*args) run at once on this thread, as a finished future: the
-    submit for a finish that runs its eigensolve itself."""
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:  # raised by done.result()
-        done.set_exception(exc)
-    return done
-
-
 def _analyze_case(
     net: Network,
     machines: MachineSet,
     spec: ScenarioSpec,
     slot_buses: list[int],
-) -> tuple[PowerFlowSolution, Callable[..., CaseResult]]:
+) -> tuple[PowerFlowSolution, Callable[[], CaseResult]]:
     """Power flow through modal analysis for one machine fleet. This thread
     runs the power flow, the equilibrium gate and the dispatch Jacobian
-    blocks; it returns the solved power flow and finish(submit), which runs
-    the rest on whichever thread calls it and returns the CaseResult.
-
-    finish builds the dispatch state matrix, which drops the blocks, and
-    hands its eigensolve to submit(mode_shapes, a, n_r), a future of the
-    modes: _eig_worker.submit runs it beside the reactive chain, _run_here
-    at once on finish's thread, before that chain. Never _eig_worker.submit
-    from a finish on the worker itself: it would wait on itself. A
-    failure still comes out in the order of the sequential chain: power
-    flow, equilibrium gate, reactive model, kron_reduce, slow_eigensolve,
-    state_matrix, eig, group_machines. The dispatch and reactive models are
-    never alive together.
+    blocks; it returns the solved power flow and finish(), which runs the
+    rest in order on whichever thread calls it and returns the CaseResult:
+    state_matrix, which drops the blocks, mode_shapes, the reactive model,
+    kron_reduce, slow_eigensolve, group_machines. The dispatch and reactive
+    models are never alive together.
 
     The linearization orders machines SGs first, then GFMs; this is the
     one place that maps that order onto slot_buses, by exact indexing, so
@@ -299,13 +281,8 @@ def _analyze_case(
     blocks = [build_jacobians(dispatch)]  # finish pops them: freed once the state matrix is built
     del dispatch  # and its dense admittance matrix, before any solve
 
-    def finish(submit: Callable[..., Future]) -> CaseResult:
-        held = None
-        try:
-            modes = submit(mode_shapes, state_matrix(blocks.pop()), len(slot_buses))
-        except Exception as exc:  # raised once the reactive chain has run
-            held = exc
-
+    def finish() -> CaseResult:
+        modes = mode_shapes(state_matrix(blocks.pop()), len(slot_buses))
         row_of = {b: i for i, b in enumerate(machines.machine_buses)}
         perm = np.array([row_of[b] for b in slot_buses], dtype=int)
         native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
@@ -315,9 +292,7 @@ def _analyze_case(
             feedthrough_e=native.feedthrough_e[perm, :],
         )
         sub = slow_eigensolve(lap, spec.areas_r)
-        if held:
-            raise held
-        modes_all = [dc_replace(m, components=m.components[perm]) for m in modes.result()]
+        modes_all = [dc_replace(m, components=m.components[perm]) for m in modes]
         lo, hi = spec.band_hz
         return CaseResult(
             net=net,
@@ -371,24 +346,22 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
     """The base case; with replacements, the scenario case and compare_cases.
 
     This thread solves the base case up to its Jacobian blocks. With
-    replacements, the rest of the base case runs on the eig worker, one
-    thread shared by the process, while this thread runs the whole
-    scenario case, so the two cases' eigensolves overlap. A base-only run
-    sends only its eigensolve to the worker, beside its reactive chain.
-    Results and errors are those of the sequential chain: the whole base
-    case fails before the scenario, and a placement fault before either."""
+    replacements, the eig worker finishes the base case while this thread
+    runs the scenario case, so the two cases' eigensolves overlap; a
+    base-only run finishes on this thread. Errors are those of the
+    sequential chain: a placement fault first, then the base case's."""
     check_placement(net, machines, spec)
     base_sol, finish_base = _analyze_case(net, machines, spec, machines.machine_buses)
     if not spec.replacements:
-        return ScenarioReport(spec=spec, base=finish_base(_eig_worker.submit))
+        return ScenarioReport(spec=spec, base=finish_base())
 
-    base = _eig_worker.submit(finish_base, _run_here)
+    base = _eig_worker.submit(finish_base)
     try:
         net2, machines2, warnings = apply_scenario(net, machines, spec, base_sol=base_sol)
         slot_map = {r.retire_sg_bus: r.gfm_bus for r in spec.replacements}
         _, finish_scen = _analyze_case(
             net2, machines2, spec, [slot_map.get(b, b) for b in machines.machine_buses])
-        scen = finish_scen(_run_here)
+        scen = finish_scen()
     except Exception:
         base.result()  # a base-case failure comes out first
         raise

@@ -38,12 +38,14 @@ def fixture_cases(report_s1, report_s2):
 
 def test_criterion_01_laplacian_row_sums(report_s1, report_s2):
     for label, case in fixture_cases(report_s1, report_s2).items():
+        t0 = time.perf_counter()
         stats = cl.row_sum_check(case.lap.l)
+        runtime_s = time.perf_counter() - t0
         print(f"criterion 1 [{label}]: max {stats.max:.3e} mean {stats.mean:.3e} "
-              f"runtime {stats.runtime_s:.4f}s")
+              f"runtime {runtime_s:.4f}s")
         assert stats.max <= 1e-10, label
         assert abs(stats.mean) <= 1e-11, label
-        assert stats.runtime_s < 1.0, label
+        assert runtime_s < 1.0, label
 
 
 def test_criterion_02_closed_form_cross_oracle(net68, ms68, report_s1, report_s2):

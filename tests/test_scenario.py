@@ -731,17 +731,16 @@ def test_forked_child_runs_the_pipeline(net68, ms68):
 
 
 @pytest.mark.parametrize("broken, first", [
-    (["state_matrix"], "state_matrix"),
-    (["state_matrix", "build_linear_model"], "build_linear_model"),
-    (["state_matrix", "kron_reduce"], "kron_reduce"),
-    (["state_matrix", "slow_eigensolve"], "slow_eigensolve"),
-    (["mode_shapes", "group_machines"], "mode_shapes"),
+    (["state_matrix", "mode_shapes"], "state_matrix"),
+    (["mode_shapes", "build_linear_model"], "mode_shapes"),
+    (["build_linear_model", "kron_reduce"], "build_linear_model"),
+    (["kron_reduce", "slow_eigensolve"], "kron_reduce"),
+    (["slow_eigensolve", "group_machines"], "slow_eigensolve"),
 ])
 def test_case_errors_keep_the_sequential_order(net68, ms68, monkeypatch, broken, first):
-    """The dispatch state matrix is built before the reactive chain and its
-    eigensolve runs behind it, but a failing case raises what the
-    sequential chain raises first: reactive model, kron_reduce,
-    slow_eigensolve, state_matrix, eig, group_machines."""
+    """A failing case raises the first of its stages that fails, in the
+    order it runs them: state_matrix, eig, reactive model, kron_reduce,
+    slow_eigensolve, group_machines."""
     for name in broken:
         real = getattr(scenario_mod, name)
 
@@ -825,13 +824,13 @@ def test_base_failure_on_the_worker_beats_a_finished_scenario(net68, ms68, monke
     assert threads["group_machines"] is threading.current_thread()  # the scenario's, the last stage
 
 
-def test_base_only_run_sends_its_eigensolve_to_the_worker(net68, ms68, monkeypatch):
-    """With no scenario case to overlap, a base-only run overlaps its own
-    eigensolve, on the eig worker, with its reactive chain on this thread."""
-    threads = traced_threads(monkeypatch, "mode_shapes", "kron_reduce")
+def test_base_only_run_stays_on_the_calling_thread(net68, ms68, monkeypatch):
+    """With no scenario case to overlap, a base-only run finishes its case,
+    eigensolve included, on this thread."""
+    stages = ("mode_shapes", "kron_reduce", "group_machines")
+    threads = traced_threads(monkeypatch, *stages)
     cl.run_pipeline(net68, ms68, cl.load_scenario(DATA / "base.json"))
-    assert threads["mode_shapes"].name.startswith("coherence-lab-eig")
-    assert threads["kron_reduce"] is threading.current_thread()
+    assert threads == dict.fromkeys(stages, threading.current_thread())
 
 
 def test_pipeline_deterministic_laplacian(net68, ms68):
