@@ -323,10 +323,10 @@ def mode_svg(mode_dict: dict, areas: dict[int, int], title: str) -> str:
 
 
 def _matrix_csv(m: np.ndarray, order: list[int]) -> str:
-    lines = [",".join(str(b) for b in order)]
     arr = np.atleast_2d(m)
-    for row in arr:
-        lines.append(",".join(FULL_FMT % v for v in row))
+    row_fmt = ",".join([FULL_FMT] * arr.shape[1])
+    lines = [",".join(str(b) for b in order)]
+    lines += [row_fmt % tuple(row) for row in arr.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -367,8 +367,11 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
 
     written: list[Path] = []
     try:
+        made: set[Path] = set()
         for path, content in staged:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.parent not in made:  # once per directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made.add(path.parent)
             path.write_text(content)
             written.append(path)
     except OSError as exc:

@@ -32,6 +32,13 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "coherence-lab-hypothesis"
 OMEGA0 = 2.0 * np.pi * 60.0
 
 
+@pytest.fixture(autouse=True)
+def cold_base_memo(monkeypatch):
+    """Each test starts with no kept base case, so a test that patches a
+    base-case stage sees that stage run."""
+    monkeypatch.setattr(cl.scenario, "_last_base", None)
+
+
 # ---------------------------------------------------------------------------
 # packaged 68-bus fixture
 

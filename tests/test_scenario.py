@@ -766,6 +766,7 @@ def test_base_eigensolve_error_comes_before_scenario_error(net68, ms68, monkeypa
     spec = ScenarioSpec("diverges", [Replacement(65, 30)], areas_r=5)
     with pytest.raises(ConvergenceError):
         cl.run_pipeline(net68, ms68, spec)
+    monkeypatch.setattr(scenario_mod, "_last_base", None)  # that run kept its base case
     monkeypatch.setattr(scenario_mod, "mode_shapes", slow_failure)
     with pytest.raises(PipelineError, match="base eigensolve failed"):
         cl.run_pipeline(net68, ms68, spec)
@@ -886,3 +887,170 @@ def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
         "row_sum_check": 2,
         "cond": 0,
     }
+
+
+# ---------------------------------------------------------------------------
+# the kept base case: a call with the base inputs of the last finished base
+# case reuses a copy of it and runs only its scenario case
+
+EVERY_FORMAT = {"json", "csv", "svg", "matrices"}
+
+
+def load68(name: str) -> tuple:
+    """The bundled grid and one of its scenarios, read afresh: equal to, but
+    not the same objects as, every earlier load."""
+    return (cl.load_network(DATA / "network.json"), cl.load_machines(DATA / "machines.json"),
+            cl.load_scenario(DATA / f"{name}.json"))
+
+
+def emitted(report, out) -> dict[str, bytes]:
+    reportio.emit(report, out, EVERY_FORMAT)
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def recorded_calls(monkeypatch, *stages: str) -> dict[str, list]:
+    """Patch every package module attribute bound to each named stage to
+    record the thread and the first argument of each call, by name."""
+    calls = {name: [] for name in stages}
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "coherence_lab"]
+    for name in stages:
+        real = getattr(scenario_mod, name, None) or getattr(cl.network, name)
+
+        def recorded(*args, name=name, real=real, **kwargs):
+            calls[name].append((threading.current_thread(), args[0]))
+            return real(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def test_kept_base_emits_the_bytes_of_a_cold_run(monkeypatch, tmp_path):
+    """After a base run, scenario1 and scenario2, their files read afresh,
+    reuse its base case and emit every file as they do with no kept base."""
+    power_flows = recorded_calls(monkeypatch, "solve_power_flow")["solve_power_flow"]
+    cl.run_pipeline(*load68("base"))
+    for name in ("scenario1", "scenario2"):
+        del power_flows[:]
+        warm = cl.run_pipeline(*load68(name))
+        assert len(power_flows) == 1  # the scenario's alone
+        monkeypatch.setattr(scenario_mod, "_last_base", None)
+        cold = cl.run_pipeline(*load68(name))
+        assert len(power_flows) == 3
+        assert emitted(warm, tmp_path / f"warm-{name}") == emitted(cold, tmp_path / f"cold-{name}")
+
+
+def test_kept_base_reruns_no_base_stage(net68, ms68, monkeypatch):
+    """A hit runs the scenario case alone, on this thread: one power flow,
+    3 admittance assemblies instead of 6, and one eigensolve."""
+    cl.run_pipeline(net68, ms68, cl.load_scenario(DATA / "base.json"))
+    calls = recorded_calls(monkeypatch, "solve_power_flow", "build_admittance", "mode_shapes")
+    report = cl.run_pipeline(net68, ms68, s1_spec())
+    assert [net for _, net in calls["solve_power_flow"]] == [report.scenario.net]
+    assert len(calls["build_admittance"]) == 3
+    assert [thread for thread, _ in calls["mode_shapes"]] == [threading.current_thread()]
+
+
+def replace_first(records: tuple, **changes) -> tuple:
+    return (dataclasses.replace(records[0], **changes), *records[1:])
+
+
+def next_up(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+# each pair differs in one part of the key, the second by as little as a float can
+KEY_CHANGES = {
+    "areas_r": lambda net, ms, spec: (net, ms, dataclasses.replace(spec, areas_r=4)),
+    "band_hz": lambda net, ms, spec: (net, ms, dataclasses.replace(spec, band_hz=(0.3, 0.9))),
+    "options.tol": lambda net, ms, spec: (
+        net, ms, dataclasses.replace(spec, options=cl.PowerFlowOptions(tol=next_up(1e-8)))),
+    "branch x": lambda net, ms, spec: (
+        dataclasses.replace(net, branches=replace_first(net.branches,
+                                                        x=next_up(net.branches[0].x))), ms, spec),
+    "sg m": lambda net, ms, spec: (
+        net, dataclasses.replace(ms, sgs=replace_first(ms.sgs, m=next_up(ms.sgs[0].m))), spec),
+    "sg d -0.0": lambda net, ms, spec: (
+        net, dataclasses.replace(ms, sgs=replace_first(ms.sgs, d=-0.0)), spec),
+}
+
+
+@pytest.mark.parametrize("part", KEY_CHANGES)
+def test_each_key_part_misses(net68, ms68, monkeypatch, part):
+    """A second call with the same inputs hits; a change to any one part of
+    the key misses, -0.0 against 0.0 too, which == takes for equal."""
+    assert ms68.sgs[0].d == 0.0 and str(ms68.sgs[0].d) == "0.0"
+    power_flows = recorded_calls(monkeypatch, "solve_power_flow")["solve_power_flow"]
+    inputs = (net68, ms68, cl.load_scenario(DATA / "base.json"))
+    changed = KEY_CHANGES[part](*inputs)
+    assert changed != inputs or part == "sg d -0.0"
+    cl.run_pipeline(*inputs)
+    cl.run_pipeline(*load68("base"))
+    assert len(power_flows) == 1
+    cl.run_pipeline(*changed)
+    assert len(power_flows) == 2
+
+
+def write_into(case) -> None:
+    """Writes a caller may make into a report's base case."""
+    case.sol.v = case.sol.v * 2
+    case.lap.l[0, 0] += 1.0
+    case.part.areas[0].append(999)
+    case.modes_all.append(case.modes_all[0])
+
+
+def test_writes_into_a_report_never_reach_the_kept_base(net68, ms68, monkeypatch, tmp_path):
+    """The caller that computed the base case and each caller that reuses it
+    hold their own copies: writes into either leave the next report as a
+    cold run's."""
+    monkeypatch.setattr(scenario_mod, "_last_base", None)
+    cold = emitted(cl.run_pipeline(net68, ms68, s1_spec()), tmp_path / "cold")
+    monkeypatch.setattr(scenario_mod, "_last_base", None)
+    write_into(cl.run_pipeline(net68, ms68, s1_spec()).base)  # the computed case
+    hit = cl.run_pipeline(net68, ms68, s1_spec())
+    assert emitted(hit, tmp_path / "after-miss") == cold
+    write_into(hit.base)  # a reused copy
+    assert emitted(cl.run_pipeline(net68, ms68, s1_spec()), tmp_path / "after-hit") == cold
+
+
+def test_failed_base_case_is_not_kept(net68, ms68, monkeypatch):
+    """A base case that raised is not kept: the same call raises again from
+    the base power flow, not from a kept case."""
+    cl.run_pipeline(net68, ms68, s1_spec())  # keeps a base at the default options
+    power_flows = recorded_calls(monkeypatch, "solve_power_flow")["solve_power_flow"]
+    spec = dataclasses.replace(s1_spec(), options=cl.PowerFlowOptions(max_iter=1))
+    for n in (1, 2):
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            cl.run_pipeline(net68, ms68, spec)
+        assert [net for _, net in power_flows] == [net68] * n
+
+
+def test_base_case_is_kept_when_its_scenario_fails(net68, ms68, monkeypatch):
+    """A base case that finished is kept although its scenario case raised."""
+    with pytest.raises(ConvergenceError):  # a valid placement that diverges
+        cl.run_pipeline(net68, ms68, ScenarioSpec("diverges", [Replacement(65, 30)], areas_r=5))
+    power_flows = recorded_calls(monkeypatch, "solve_power_flow")["solve_power_flow"]
+    report = cl.run_pipeline(net68, ms68, s1_spec())
+    assert [net for _, net in power_flows] == [report.scenario.net]
+
+
+def test_batch_run_on_one_grid_keeps_serial_results(monkeypatch):
+    """Four jobs on the bundled grid, two or three at a time, so that base
+    cases are kept and reused across threads, give the serial results."""
+    jobs = [BatchJob(str(DATA / "network.json"), str(DATA / "machines.json"),
+                     str(DATA / f"{name}.json"))
+            for name in ("scenario1", "base", "scenario2", "scenario1")]
+    docs = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
+    try:
+        for threads in (2, 3, 1):
+            monkeypatch.setattr(scenario_mod, "_last_base", None)
+            results = batch_run(jobs, threads=threads)
+            assert all(r["ok"] for r in results)
+            docs[threads] = [(json.dumps(reportio.report_to_dict(r["report"])),
+                              r["report"].base.lap.l.tobytes()) for r in results]
+    finally:
+        sys.setswitchinterval(switch)
+    assert docs[2] == docs[3] == docs[1]
