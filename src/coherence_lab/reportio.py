@@ -367,11 +367,8 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
 
     written: list[Path] = []
     try:
-        made: set[Path] = set()
         for path, content in staged:
-            if path.parent not in made:  # once per directory
-                path.parent.mkdir(parents=True, exist_ok=True)
-                made.add(path.parent)
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(content)
             written.append(path)
     except OSError as exc:

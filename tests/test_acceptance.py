@@ -200,7 +200,7 @@ def test_criterion_09_power_flow(report_s1, report_s2, net68):
     assert abs(total_mw - 18408.0) / 18408.0 < 0.01
 
 
-def test_criterion_10_batch_determinism(tmp_path):
+def test_criterion_10_batch_determinism(tmp_path, monkeypatch):
     jobs = [
         cl.BatchJob(network=str(DATA / "network.json"),
                     machines=str(DATA / "machines.json"),
@@ -210,6 +210,7 @@ def test_criterion_10_batch_determinism(tmp_path):
     trees = []
     for run in ("one", "two"):
         out = tmp_path / run
+        monkeypatch.setattr(cl.scenario, "_last_base", None)  # each run computes its base cases
         results = cl.batch_run(jobs, threads=2)
         assert all(r["ok"] for r in results), results
         for r in results:

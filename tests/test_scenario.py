@@ -673,20 +673,25 @@ def test_batch_run_propagates_programming_errors(tmp_path, monkeypatch, threads)
         batch_run(jobs, threads=threads)
 
 
-def test_batch_run_threaded_matches_serial(tmp_path):
+def test_batch_run_threaded_matches_serial(tmp_path, monkeypatch):
     """Jobs on concurrent threads share the one eigensolve worker and give
     the serial results bit for bit, whole reports of the bundled scenarios
-    included; back-to-back runs leave at most that one worker thread."""
+    included; back-to-back runs leave at most that one worker thread. Each
+    batch starts with no kept base case, so it computes its own."""
+    def batch(jobs, threads):
+        monkeypatch.setattr(scenario_mod, "_last_base", None)
+        return batch_run(jobs, threads=threads)
+
     jobs = [write_two_bus_job(tmp_path, f"j{i}") for i in range(3)]
     bundled = [BatchJob(str(DATA / "network.json"), str(DATA / "machines.json"),
                         str(DATA / f"{name}.json")) for name in ("scenario1", "scenario2")]
-    serial = batch_run(jobs, threads=1)
+    serial = batch(jobs, threads=1)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches, more interleavings
     try:
-        threaded = batch_run(jobs, threads=3)
+        threaded = batch(jobs, threads=3)
         docs = {threads: [json.dumps(reportio.report_to_dict(r["report"]))
-                          for r in batch_run(bundled, threads=threads)]
+                          for r in batch(bundled, threads)]
                 for threads in (1, 2)}
     finally:
         sys.setswitchinterval(switch)
@@ -702,17 +707,19 @@ def test_batch_run_threaded_matches_serial(tmp_path):
     net, ms = build_small_system(3, n_m=4)
     spec = ScenarioSpec("again", [Replacement(ms.sgs[1].bus, net.buses[1].id)], areas_r=2)
     for _ in range(20):
+        monkeypatch.setattr(scenario_mod, "_last_base", None)  # each run uses the worker
         cl.run_pipeline(net, ms, spec)
     assert threading.active_count() <= before + 1
     assert sum(t.name.startswith("coherence-lab-eig") for t in threading.enumerate()) == 1
 
 
-def test_forked_child_runs_the_pipeline(net68, ms68):
+def test_forked_child_runs_the_pipeline(net68, ms68, monkeypatch):
     """A child forked after the parent has run a pipeline, and so started
     its eigensolve thread, starts its own and gets the parent's L."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork is not available on this platform")
     want = cl.run_pipeline(net68, ms68, s1_spec()).scenario.lap.l
+    monkeypatch.setattr(scenario_mod, "_last_base", None)  # the child computes its base case
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
 
@@ -834,9 +841,10 @@ def test_base_only_run_stays_on_the_calling_thread(net68, ms68, monkeypatch):
     assert threads == dict.fromkeys(stages, threading.current_thread())
 
 
-def test_pipeline_deterministic_laplacian(net68, ms68):
+def test_pipeline_deterministic_laplacian(net68, ms68, monkeypatch):
     spec = s1_spec()
     r1 = cl.run_pipeline(net68, ms68, spec)
+    monkeypatch.setattr(scenario_mod, "_last_base", None)  # recompute the base case
     r2 = cl.run_pipeline(net68, ms68, spec)
     assert np.array_equal(r1.scenario.lap.l, r2.scenario.lap.l)
     assert np.array_equal(r1.base.sub.w_r, r2.base.sub.w_r)
