@@ -28,7 +28,7 @@ from .linearize import (
     build_jacobians,
     build_linear_model,
     check_equilibrium,
-    kron_reduce,
+    reactive_laplacian,
     row_sum_check,
     state_matrix,
     symmetry_gap,

@@ -38,7 +38,7 @@ class SlowSubspace:
     eigenvalues: np.ndarray  # sorted by magnitude, ascending
     w_r: np.ndarray  # M_e-orthonormal columns of the r slowest eigenvectors
     r: int
-    eigengap: list[float | None]
+    eigengap: list[float | None]  # |lambda_k+1| / |lambda_k|, None over the zero eigenvalue
     symmetry_defect: float
 
 
@@ -85,8 +85,10 @@ def slow_eigensolve(lap: LaplacianPair, r: int) -> SlowSubspace:
     # deterministic sign: largest-magnitude entry of each column positive
     flip = z[np.argmax(np.abs(z), axis=0), np.arange(r)] < 0
     z[:, flip] = -z[:, flip]
+    # no gap over the zero eigenvalue, whose magnitude is roundoff
     mag = np.abs(vals)
-    gaps = [float(hi / lo) if lo > 1e-300 else None for lo, hi in zip(mag[:-1], mag[1:])]
+    gaps = [float(hi / lo) if lo > ZERO_EVAL_REL * scale else None
+            for lo, hi in zip(mag[:-1], mag[1:])]
     return SlowSubspace(
         eigenvalues=vals,
         w_r=z * (1.0 / np.sqrt(lap.m_e))[:, None],  # W = M_e^{-1/2} Z
@@ -258,10 +260,15 @@ def compare_subspaces(
     z_base = np.sqrt(base_lap.m_e)[:, None] * base_sub.w_r
     z_scen = np.sqrt(scen_lap.m_e)[:, None] * scen_sub.w_r
 
-    u, s, vt = np.linalg.svd(z_base.T @ z_scen)
+    overlap = z_base.T @ z_scen
+    u, s, vt = np.linalg.svd(overlap)
     sigmas = np.clip(s, 0.0, 1.0)
-    thetas = np.arccos(sigmas)
-    sin_theta_norm = float(np.sqrt(np.sum(1.0 - sigmas**2)))
+    # the sines are the singular values of the part of Z_s outside span(Z_b);
+    # 1 - sigma^2 would floor them at sqrt(eps), so small angles come from
+    # their sines and large ones from their cosines (Bjorck and Golub 1973)
+    sines = np.clip(np.linalg.svd(z_scen - z_base @ overlap, compute_uv=False)[::-1], 0.0, 1.0)
+    thetas = np.where(sines < np.sqrt(0.5), np.arcsin(sines), np.arccos(sigmas))
+    sin_theta_norm = float(np.linalg.norm(sines))
     q = u @ vt
 
     if r < n:

@@ -1,23 +1,20 @@
 """Small-signal models around a solved operating point.
 
-Two linearization variants share one residual formulation:
+Two models, machine rows ordered SGs first, then GFMs:
 
-  * "dispatch": loads become constant admittances (P - jQ)/|V0|^2 at the
-    solved voltages and the model is evaluated exactly at the dispatch
-    point, where every residual is zero. Used for the full state matrix
-    and mode shapes.
-  * "reactive": every conductance is dropped (branch r, shunt_g, the real
-    part of converted loads) so the algebraic network is purely
-    susceptive, and bus voltages are re-anchored by one linear current
-    balance driven by the machine internal sources. This is the classical
-    electromechanical reduction; on it the angle Laplacian is exactly
-    symmetric and matches the closed form over the reduced susceptance
-    network. Used for coherency.
-
-Voltage unknowns are rectangular, stacked [Re(V); Im(V)], so algebraic
-blocks are 2N wide. Machine rows are ordered SGs first, then GFMs.
-GFM buses swap their power-balance rows for the two components of the
-voltage-source constraint V = E exp(j delta).
+  * the dispatch model: loads become constant admittances (P - jQ)/|V0|^2
+    at the solved voltages and the model is evaluated exactly at the
+    dispatch point, where every residual is zero. Its voltage unknowns are
+    rectangular, stacked [Re(V); Im(V)], so algebraic blocks are 2N wide,
+    and GFM buses swap their power-balance rows for the two components of
+    the voltage-source constraint V = E exp(j delta). Used for the full
+    state matrix and mode shapes.
+  * the reactive Laplacian, in closed form: every conductance is dropped
+    (branch r, shunt_g, the real part of converted loads), the purely
+    susceptive network is Kron-reduced onto the machine sources by one
+    real elimination, and L_ij = E_i E_j B_ij cos(delta_i - delta_j).
+    This is the classical electromechanical reduction; L is symmetric and
+    its rows sum to zero. Used for coherency.
 """
 
 from __future__ import annotations
@@ -69,60 +66,22 @@ def _load_admittances(net: Network, v0: np.ndarray) -> np.ndarray:
     return y
 
 
-def build_linear_model(
-    net: Network,
-    machines: MachineSet,
-    op: OperatingPoint,
-    lossless: bool,
-) -> LinearModel:
-    """Fold loads into the admittance matrix and pick the evaluation point."""
-    rows = net.rows(machines.machine_buses)
-    sg_idx, gfm_idx = np.split(rows, [len(machines.sgs)])
-    sg_gp = np.array([1.0 / m.xd_prime for m in machines.sgs])
-
-    y = build_admittance(net, lossless=lossless)
+def build_linear_model(net: Network, machines: MachineSet, op: OperatingPoint) -> LinearModel:
+    """The dispatch model: loads folded into the admittance matrix, evaluated
+    at the solved voltages."""
+    sg_idx, gfm_idx = np.split(net.rows(machines.machine_buses), [len(machines.sgs)])
+    y = build_admittance(net)
     y[np.diag_indices_from(y)] += _load_admittances(net, op.v)
-    if lossless:
-        y = 1j * y.imag
-        v_point = _anchor_voltages(y, sg_idx, gfm_idx, sg_gp, op)
-    else:
-        v_point = op.v.copy()
-
     return LinearModel(
         net=net,
         machines=machines,
         op=op,
         y_model=y,
-        v_point=v_point,
+        v_point=op.v.copy(),
         sg_idx=sg_idx,
         gfm_idx=gfm_idx,
-        sg_gp=sg_gp,
+        sg_gp=np.array([1.0 / m.xd_prime for m in machines.sgs]),
     )
-
-
-def _anchor_voltages(
-    y_model: np.ndarray,
-    sg_idx: np.ndarray,
-    gfm_idx: np.ndarray,
-    sg_gp: np.ndarray,
-    op: OperatingPoint,
-) -> np.ndarray:
-    """Solve the linear current balance of the susceptance network given the
-    machine internal sources, so the evaluation point sits exactly on the
-    reduced model's manifold."""
-    a = y_model.copy()
-    rhs = np.zeros(y_model.shape[0], dtype=complex)
-    u = op.e * np.exp(1j * op.delta)
-    yg = -1j * sg_gp
-    a[sg_idx, sg_idx] += yg
-    rhs[sg_idx] += yg * u[: sg_idx.size]
-    a[gfm_idx, :] = 0.0
-    a[gfm_idx, gfm_idx] = 1.0
-    rhs[gfm_idx] = u[sg_idx.size :]
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise PipelineError("voltage anchoring system is singular") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +196,7 @@ class JacobianBlocks:
     GFM buses, the parts of the network Jacobian that the GFM voltage loop
     of the state matrix reads. a3 and a34 are the leading columns of
     rhs = [a3 | a34 | probes], the right-hand side of the one solve
-    against a33 (see _reduce), built once.
+    against a33 (see state_matrix), built once.
 
     The blocks keep the model's fleet and nominal frequency, not the model
     itself, so its dense admittance matrix is freed with it.
@@ -346,10 +305,6 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
     a34[n + gfm, j_gfm] = -sd
 
     omega0 = model.net.omega0
-    m_e = np.array(
-        [m.m for m in machines.sgs] + [g.m_equivalent(omega0) for g in machines.gfms]
-    )
-
     return JacobianBlocks(
         machines=machines,
         omega0=omega0,
@@ -359,8 +314,13 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
         rhs=rhs,
         q_rows=q_rows,
         vm_rows=vm_rows,
-        m_e=m_e,
+        m_e=_equivalent_masses(machines, omega0),
     )
+
+
+def _equivalent_masses(machines: MachineSet, omega0: float) -> np.ndarray:
+    """Each machine's swing mass in fleet order: an SG's m, a GFM's droop-loop equivalent."""
+    return np.array([m.m for m in machines.sgs] + [g.m_equivalent(omega0) for g in machines.gfms])
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +328,8 @@ def build_jacobians(model: LinearModel) -> JacobianBlocks:
 
 @dataclass(frozen=True)
 class LaplacianPair:
-    """Row i is machine i of the reduced blocks' fleet (SGs, then GFMs), or
-    slot i in a pipeline case."""
+    """Row i is machine i of the fleet (SGs, then GFMs), or slot i in a
+    pipeline case."""
 
     l: np.ndarray
     m_e: np.ndarray  # diagonal entries
@@ -381,24 +341,20 @@ class LaplacianPair:
         return self.l / self.m_e[:, None]
 
 
-def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one elimination of the algebraic voltages: X = A33^{-1} [A3, A34],
-    returned with L = A1 - A2 X3 and the E-feedthrough -A2 X4.
+def _solve_probed(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^{-1} rhs without its last COND_PROBES columns.
 
-    COND_PROBES fixed-seed probe columns p_j ride along in the same solve,
-    so ||A33||_1 max_j ||A33^{-1} p_j||_1 / ||p_j||_1, a lower bound on
-    cond_1(A33) (Dixon 1983), costs O(N^2) on top of the factorization.
+    Those are fixed-seed probe columns p_j that ride along in the same
+    solve, so ||A||_1 max_j ||A^{-1} p_j||_1 / ||p_j||_1, a lower bound on
+    cond_1(A) (Dixon 1983), costs O(N^2) on top of the factorization.
     """
-    a33 = blocks.a33
-    n_r = blocks.a1.shape[0]
-    n_rhs = n_r + blocks.q_rows.shape[0]
     try:
-        x = np.linalg.solve(a33, blocks.rhs)
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         raise PipelineError("algebraic block is singular; cannot reduce") from None
-    probes = blocks.rhs[:, n_rhs:]
-    growth = np.abs(x[:, n_rhs:]).sum(axis=0) / np.abs(probes).sum(axis=0)
-    cond = float(np.abs(a33).sum(axis=0).max() * growth.max())
+    n_rhs = rhs.shape[1] - COND_PROBES
+    growth = np.abs(x[:, n_rhs:]).sum(axis=0) / np.abs(rhs[:, n_rhs:]).sum(axis=0)
+    cond = float(np.abs(a).sum(axis=0).max() * growth.max())
     if not cond <= COND_WARN_LIMIT:  # also catches a NaN estimate
         warnings.warn(
             f"algebraic block is near singular (cond {cond:.3e}); "
@@ -406,21 +362,65 @@ def _reduce(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             RuntimeWarning,
             stacklevel=3,
         )
-    x = x[:, :n_rhs]  # the probe columns dropped
-    l = blocks.a1 - blocks.a2 @ x[:, :n_r]
-    # subtracted from zeros, not negated, so an exact zero stays +0
-    feed = np.zeros((n_r, n_rhs - n_r)) - blocks.a2 @ x[:, n_r:]
-    return l, feed, x
+    return x[:, :n_rhs]  # the probe columns dropped
 
 
-def kron_reduce(blocks: JacobianBlocks) -> LaplacianPair:
-    """Eliminate the algebraic voltage variables.
+def reactive_laplacian(net: Network, machines: MachineSet, op: OperatingPoint) -> LaplacianPair:
+    """The slow-coherency Laplacian in closed form, rows in fleet order.
 
-    L = A1 - A2 A33^{-1} A3 couples machine angles; the E-feedthrough
-    -A2 A33^{-1} A34 is reported alongside but holds no angle dynamics.
+    The susceptance network (every conductance dropped, each load a
+    susceptance -Q/|V|^2 at the solved voltages, each SG's internal node
+    behind 1/xd') is Kron-reduced onto the machine sources, the SG
+    internal nodes and the GFM buses, by one real solve that eliminates
+    every other bus (Kron 1939; Dorfler and Bullo 2013). Over the reduced
+    susceptances B the active outputs are
+    P_i = sum_j E_i E_j B_ij sin(delta_i - delta_j), so
+    L_ij = -dP_i/d(delta_j) = E_i E_j B_ij cos(delta_i - delta_j) off the
+    diagonal, the diagonal is minus the row sum, and the E-feedthrough is
+    -dP_i/dE_k for each GFM k. An overflow or invalid operation is a
+    PipelineError.
     """
-    l, feed, _ = _reduce(blocks)
-    return LaplacianPair(l=l, m_e=blocks.m_e, feedthrough_e=feed)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _reactive_laplacian(net, machines, op)
+    except FloatingPointError as exc:
+        raise PipelineError(f"reactive reduction failed: {exc}") from None
+
+
+def _reactive_laplacian(net: Network, machines: MachineSet, op: OperatingPoint) -> LaplacianPair:
+    sg_bus, gfm_bus = np.split(net.rows(machines.machine_buses), [len(machines.sgs)])
+    n_sg, n_r = sg_bus.size, len(machines.machine_buses)
+    gp = 1.0 / np.array([m.xd_prime for m in machines.sgs])
+    b = build_admittance(net, lossless=True).imag
+    b[np.diag_indices_from(b)] -= np.array([bus.load_q for bus in net.buses]) / np.abs(op.v) ** 2
+    b[sg_bus, sg_bus] -= gp
+    kept = np.setdiff1d(np.arange(net.n_bus), gfm_bus)  # every bus without a GFM
+    # the columns that tie the eliminated buses to each source: an SG's
+    # internal node reaches only its bus, a GFM bus the network
+    rhs = np.zeros((kept.size, n_r + COND_PROBES))
+    rhs[np.searchsorted(kept, sg_bus), np.arange(n_sg)] = gp
+    rhs[:, n_sg:n_r] = b[np.ix_(kept, gfm_bus)]
+    rhs[:, n_r:] = np.random.default_rng(0).standard_normal((kept.size, COND_PROBES))
+    x = _solve_probed(b[np.ix_(kept, kept)], rhs)
+    # the reduced susceptances off the diagonal; sources meet directly only
+    # where two GFM buses share a branch
+    b_red = -(rhs[:, :n_r].T @ x)
+    b_red[n_sg:, n_sg:] += b[np.ix_(gfm_bus, gfm_bus)]
+    np.fill_diagonal(b_red, 0.0)
+
+    e, phase = op.e, op.delta[:, None] - op.delta[None, :]
+    l = e[:, None] * e[None, :] * b_red * np.cos(phase)
+    np.fill_diagonal(l, -l.sum(axis=1))
+    # dP_i/dE_k = E_i B_ik sin(delta_i - delta_k), and dP_k/dE_k = P_k / E_k
+    w = b_red * np.sin(phase)
+    dp_de = e[:, None] * w
+    np.fill_diagonal(dp_de, w @ e)
+    return LaplacianPair(
+        l=l,
+        m_e=_equivalent_masses(machines, net.omega0),
+        # subtracted from zeros, not negated, so an exact zero stays +0
+        feedthrough_e=np.zeros((n_r, n_r - n_sg)) - dp_de[:, n_sg:],
+    )
 
 
 @dataclass
@@ -466,8 +466,11 @@ def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
     # allocated before the reduction, so that the state matrix, which an
     # eigensolve may hold for a while, does not sit above its temporaries
     a = np.zeros((nx, nx))
-    l, feed, x = _reduce(blocks)
+    x = _solve_probed(blocks.a33, blocks.rhs)
     x3, x4 = x[:, :n_r], x[:, n_r:]
+    l = blocks.a1 - blocks.a2 @ x3
+    # subtracted from zeros, not negated, so an exact zero stays +0
+    feed = np.zeros((n_r, n_gfm)) - blocks.a2 @ x4
 
     sl_d = slice(0, n_r)
     sl_w = slice(n_r, 2 * n_r)

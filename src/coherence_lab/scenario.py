@@ -46,7 +46,7 @@ from .linearize import (
     build_jacobians,
     build_linear_model,
     check_equilibrium,
-    kron_reduce,
+    reactive_laplacian,
     state_matrix,
 )
 from .machines import Gfm, MachineSet, load_machines, validate_against_network
@@ -269,16 +269,16 @@ def _analyze_case(
     runs the power flow, the equilibrium gate and the dispatch Jacobian
     blocks; it returns the solved power flow and finish(), which runs the
     rest in order on whichever thread calls it and returns the CaseResult:
-    state_matrix, which drops the blocks, mode_shapes, the reactive model,
-    kron_reduce, slow_eigensolve, group_machines. The dispatch and reactive
-    models are never alive together.
+    state_matrix, which drops the blocks, mode_shapes, reactive_laplacian,
+    slow_eigensolve, group_machines. The dispatch model and the reactive
+    reduction are never alive together.
 
     The linearization orders machines SGs first, then GFMs; this is the
     one place that maps that order onto slot_buses, by exact indexing, so
     cases stay comparable slot by slot."""
     sol = solve_power_flow(net, machines, spec.options)
     op = init_dynamic_states(net, machines, sol)
-    dispatch = build_linear_model(net, machines, op, lossless=False)
+    dispatch = build_linear_model(net, machines, op)
     eq = check_equilibrium(dispatch)
     blocks = [build_jacobians(dispatch)]  # finish pops them: freed once the state matrix is built
     del dispatch  # and its dense admittance matrix, before any solve
@@ -287,7 +287,7 @@ def _analyze_case(
         modes = mode_shapes(state_matrix(blocks.pop()), len(slot_buses))
         row_of = {b: i for i, b in enumerate(machines.machine_buses)}
         perm = np.array([row_of[b] for b in slot_buses], dtype=int)
-        native = kron_reduce(build_jacobians(build_linear_model(net, machines, op, lossless=True)))
+        native = reactive_laplacian(net, machines, op)
         lap = LaplacianPair(
             l=native.l[np.ix_(perm, perm)],
             m_e=native.m_e[perm],

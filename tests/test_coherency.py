@@ -212,6 +212,43 @@ def test_identical_subspaces_have_zero_angles():
     assert np.max(comp.row_shift) < 1e-7
 
 
+@pytest.mark.parametrize("fixture", ["report_s1", "report_s2"])
+def test_case_compared_with_itself_meets_the_bound(request, fixture):
+    """Each case of a bundled run against itself: the angles are roundoff,
+    far below the residual bound, and not the sqrt(eps) floor of
+    1 - cos^2 (5.8e-8 on scenario1 against a bound of 5.1e-13)."""
+    rep = request.getfixturevalue(fixture)
+    for case in (rep.base, rep.scenario):
+        comp, _, _ = cl.compare_cases(case, case)
+        assert comp.bound_holds is True
+        assert comp.theta_matrix_norm < 1e-14
+        assert np.max(comp.thetas) < 1e-14
+
+
+def test_small_angles_come_from_their_sines():
+    """A basis turned by a known small angle reports that angle to full
+    relative precision."""
+    lap, sub, _, _ = random_lap_pair(5)
+    z = np.sqrt(lap.m_e)[:, None] * sub.w_r
+    rest = np.linalg.svd(z, full_matrices=True)[0][:, sub.r:]  # orthonormal, outside span(z)
+    theta = 3e-9
+    turned = z.copy()
+    turned[:, 0] = np.cos(theta) * z[:, 0] + np.sin(theta) * rest[:, 0]
+    sub_t = dataclasses.replace(sub, w_r=turned / np.sqrt(lap.m_e)[:, None])
+    comp = cl.compare_subspaces(lap, sub, lap, sub_t)
+    assert comp.thetas[-1] == pytest.approx(theta, rel=1e-6)
+    assert comp.theta_matrix_norm == pytest.approx(np.sin(theta), rel=1e-6)
+
+
+def test_no_eigengap_over_the_zero_eigenvalue(report_s1, report_s2):
+    """The first eigengap divides by the zero eigenvalue, which is roundoff,
+    so it is None; every other gap is a ratio of two nonzero magnitudes."""
+    for case in (report_s1.base, report_s1.scenario, report_s2.scenario):
+        mag = np.abs(case.sub.eigenvalues)
+        assert case.sub.eigengap[0] is None
+        assert case.sub.eigengap[1:] == [float(hi / lo) for lo, hi in zip(mag[1:-1], mag[2:])]
+
+
 def test_comparison_rejects_mismatched_ranks():
     lap0, _, lap1, _ = random_lap_pair(9)
     sub2 = cl.slow_eigensolve(lap0, 2)

@@ -1,5 +1,6 @@
 """Analytic Jacobian blocks against central finite differences, and the
-Kron-reduced Laplacian against its closed-form expression."""
+reactive Laplacian against its closed-form oracle and its rectangular
+reference."""
 
 import dataclasses
 
@@ -40,11 +41,16 @@ def block_close(got, want, tol=1e-6):
     return float(np.max(np.abs(got - want))) / scale <= tol
 
 
+def linear_model(net, ms, op, lossless):
+    """The dispatch model, or with lossless the rectangular reactive reference."""
+    return oracles.reference_model(net, ms, op) if lossless else build_linear_model(net, ms, op)
+
+
 def assert_blocks_match_fd(net, ms, op, lossless):
     """Every stacked block is the derivative of one residual family with
     respect to one variable group; check each machine kind's rows or
     columns on their own scale."""
-    model = build_linear_model(net, ms, op, lossless=lossless)
+    model = linear_model(net, ms, op, lossless)
     blocks = cl.build_jacobians(model)
     d0, ef0, v0 = point_state(model)
     n_sg, n_gfm = model.n_sg, model.n_gfm
@@ -106,7 +112,7 @@ def test_network_power_jacobian_matches_dense_formula(net68, ms68, system, lossl
 
     net, ms = (net68, ms68) if system == "ieee68" else build_small_system(8, n_m=30, n_gfm=3)
     _, op = solve_and_init(net, ms)
-    model = build_linear_model(net, ms, op, lossless=lossless)
+    model = linear_model(net, ms, op, lossless)
     v = model.v_point
     p, q = v.real, v.imag
     g, b = model.y_model.real, model.y_model.imag
@@ -125,9 +131,9 @@ def test_network_power_jacobian_matches_dense_formula(net68, ms68, system, lossl
 
 
 def closed_form_gap(net, ms, op):
-    """Largest entry of the Jacobian-reduced reactive L minus the closed
-    form over a susceptance network the oracle stamps itself."""
-    lap = cl.kron_reduce(cl.build_jacobians(build_linear_model(net, ms, op, lossless=True)))
+    """Largest entry of the reactive L minus the closed form over a
+    susceptance network the oracle stamps and reduces itself."""
+    lap = cl.reactive_laplacian(net, ms, op)
     want = oracles.laplacian_closed_form(op, oracles.reduced_susceptance(net, ms, op))
     return float(np.max(np.abs(lap.l - want)))
 
@@ -143,6 +149,104 @@ def test_closed_form_matches_jacobian_random(seed):
     net, ms = build_small_system(seed, n_gfm=n_gfm)
     _, op = solve_and_init(net, ms)
     assert closed_form_gap(net, ms, op) <= 1e-8
+
+
+def reactive_systems(report_s1, report_s2):
+    """(net, machines, op) of the three bundled cases and of two rings."""
+    systems = {name: (case.net, case.machines, case.op) for name, case in (
+        ("base", report_s1.base), ("scenario1", report_s1.scenario),
+        ("scenario2", report_s2.scenario))}
+    for n_m in (20, 200):
+        net, ms = build_small_system(7, n_m=n_m, n_gfm=3)
+        systems[f"ring{2 * n_m}"] = (net, ms, solve_and_init(net, ms)[1])
+    return systems
+
+
+def gap_of_scale(got, want):
+    """Largest entry of got - want, relative to the largest entry of want."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want))) if want.size else 0.0
+
+
+def test_reactive_laplacian_agrees_with_the_rectangular_reference(report_s1, report_s2):
+    """The closed form against the 2N x 2N rectangular reduction. Measured:
+    L within 3.3e-14 and the E-feedthrough within 2.5e-13 of their scale,
+    both on scenario2; the rectangular side carries most of it."""
+    for name, (net, ms, op) in reactive_systems(report_s1, report_s2).items():
+        lap = cl.reactive_laplacian(net, ms, op)
+        ref = oracles.kron_reduce(cl.build_jacobians(oracles.reference_model(net, ms, op)))
+        assert gap_of_scale(lap.l, ref.l) <= 1e-13, name
+        assert gap_of_scale(lap.feedthrough_e, ref.feedthrough_e) <= 1e-12, name
+        assert lap.feedthrough_e.shape == (len(ms.machine_buses), len(ms.gfms)), name
+        np.testing.assert_array_equal(lap.m_e, ref.m_e)
+
+
+def test_reactive_laplacian_matches_extended_precision(report_s1, report_s2):
+    """Against the same formula over a susceptance network the oracle
+    eliminates in np.longdouble: within 1e-15 of max|L| (measured 6.1e-16).
+    The rectangular reduction that production used before errs by up to
+    3.3e-14 on the same cases, the reference in oracles by 1.5e-14."""
+    for case in (report_s1.base, report_s1.scenario, report_s2.scenario):
+        lap = cl.reactive_laplacian(case.net, case.machines, case.op)
+        kron_b = oracles.reduced_susceptance_extended(case.net, case.machines, case.op)
+        want = oracles.laplacian_closed_form(case.op, kron_b)
+        assert gap_of_scale(lap.l, want) <= 1e-15
+
+
+def test_reactive_rows_sum_to_zero(report_s1, report_s2):
+    """The diagonal is minus the row sum, so rows sum to roundoff of the
+    largest entry; the rectangular reduction left 1.9e-11 on scenario2."""
+    for case in (report_s1.base, report_s1.scenario, report_s2.scenario):
+        l = case.lap.l
+        assert cl.row_sum_check(l).max <= 1e-14 * np.max(np.abs(l))
+
+
+@pytest.mark.parametrize("row", [0, 17, 40, 67])
+@pytest.mark.parametrize("scale", [1e-2, 1e-13, 1e-15])
+def test_near_singular_reactive_block_warns(net68, ms68, monkeypatch, row, scale):
+    """One row of the eliminated block scaled down: the reduction warns when
+    the block's exact condition number is two orders past the limit, and
+    stays quiet on a benign one."""
+    _, op = solve_and_init(net68, ms68)
+    real, exact = linearize._solve_probed, []
+
+    def scaled(a, rhs):
+        a = a.copy()
+        a[row, :] *= scale
+        exact.append(np.linalg.cond(a))
+        return real(a, rhs)
+
+    monkeypatch.setattr(linearize, "_solve_probed", scaled)
+    if scale < 1e-12:
+        with pytest.warns(RuntimeWarning, match="near singular"):
+            cl.reactive_laplacian(net68, ms68, op)
+        assert exact[0] > 100 * COND_WARN_LIMIT
+    else:
+        cl.reactive_laplacian(net68, ms68, op)  # a warning here fails under the suite's filterwarnings
+        assert exact[0] < COND_WARN_LIMIT / net68.n_bus
+
+
+def test_singular_reactive_block_raises(net68, ms68, monkeypatch):
+    _, op = solve_and_init(net68, ms68)
+    real = linearize._solve_probed
+
+    def zero_row(a, rhs):
+        a = a.copy()
+        a[5, :] = 0.0
+        return real(a, rhs)
+
+    monkeypatch.setattr(linearize, "_solve_probed", zero_row)
+    with pytest.raises(PipelineError, match="^algebraic block is singular; cannot reduce$"):
+        cl.reactive_laplacian(net68, ms68, op)
+
+
+def test_reactive_overflow_is_a_pipeline_error(net68, ms68):
+    """An internal reactance so small that its susceptance overflows the
+    reduction raises PipelineError, not a numpy warning."""
+    _, op = solve_and_init(net68, ms68)
+    tiny = dataclasses.replace(ms68, sgs=(dataclasses.replace(ms68.sgs[0], xd_prime=1e-310),
+                                          *ms68.sgs[1:]))
+    with pytest.raises(PipelineError, match="^reactive reduction failed: overflow"):
+        cl.reactive_laplacian(net68, tiny, op)
 
 
 def _taps_on_to_side(net):
@@ -202,13 +306,13 @@ def test_equilibrium_gate_rejects_bad_point(net68, ms68):
     op.delta = op.delta.copy()
     op.delta[0] += 0.05
     with pytest.raises(PipelineError, match="not an equilibrium"):
-        cl.check_equilibrium(build_linear_model(net68, ms68, op, lossless=False))
+        cl.check_equilibrium(build_linear_model(net68, ms68, op))
 
 
 @pytest.fixture(scope="module")
 def reactive_blocks68(net68, ms68):
     _, op = solve_and_init(net68, ms68)
-    return cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=True))
+    return cl.build_jacobians(oracles.reference_model(net68, ms68, op))
 
 
 @pytest.mark.parametrize("row", [0, 17, 67, 100, 135])
@@ -223,18 +327,18 @@ def test_near_singular_reduction_warns(reactive_blocks68, row, scale):
     exact = np.linalg.cond(a33)
     if exact > 100 * COND_WARN_LIMIT:
         with pytest.warns(RuntimeWarning, match="near singular"):
-            cl.kron_reduce(blocks)
+            oracles.kron_reduce(blocks)
     else:
         # cond_1 <= n cond_2, so no lower bound on cond_1 can cross the limit
         assert exact < COND_WARN_LIMIT / a33.shape[0]
-        cl.kron_reduce(blocks)  # a warning here fails under the suite's filterwarnings
+        oracles.kron_reduce(blocks)  # a warning here fails under the suite's filterwarnings
 
 
 def test_state_matrix_angle_block_is_scaled_laplacian(net68, ms68):
     _, op = solve_and_init(net68, ms68)
-    blocks = cl.build_jacobians(build_linear_model(net68, ms68, op, lossless=False))
+    blocks = cl.build_jacobians(build_linear_model(net68, ms68, op))
     a = cl.state_matrix(blocks)
-    lap = cl.kron_reduce(blocks)
+    lap = oracles.kron_reduce(blocks)
     n_r = len(ms68.machine_buses)
     # angle rows first, then frequency rows, each in the model's machine order
     assert a.shape == (2 * n_r + 2 * len(ms68.gfms),) * 2
@@ -247,10 +351,10 @@ def test_state_matrix_two_machine_frequency():
     eigenstructure against a closed formula."""
     net, ms = build_small_system(5, n_m=2)
     _, op = solve_and_init(net, ms)
-    blocks = cl.build_jacobians(build_linear_model(net, ms, op, lossless=False))
+    blocks = cl.build_jacobians(build_linear_model(net, ms, op))
     modes = cl.mode_shapes(cl.state_matrix(blocks), 2)
     assert len(modes) == 1
-    lap = cl.kron_reduce(blocks)
+    lap = oracles.kron_reduce(blocks)
     want = np.sqrt(np.max(np.abs(np.linalg.eigvals(lap.l_bar)))) / (2 * np.pi)
     assert modes[0].freq_hz == pytest.approx(want, rel=1e-8)
     # antiphase shape
@@ -259,7 +363,7 @@ def test_state_matrix_two_machine_frequency():
 
 
 def test_state_matrix_is_stable(case_base):
-    model = build_linear_model(case_base.net, case_base.machines, case_base.op, lossless=False)
+    model = build_linear_model(case_base.net, case_base.machines, case_base.op)
     a = cl.state_matrix(cl.build_jacobians(model))
     assert np.max(np.linalg.eigvals(a).real) < 1e-6
 

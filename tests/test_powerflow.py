@@ -119,7 +119,7 @@ def test_iteration_cap_respected():
 
 def test_init_dynamic_states_is_equilibrium(net68, ms68):
     sol, op = solve_and_init(net68, ms68)
-    eq = cl.check_equilibrium(cl.build_linear_model(net68, ms68, op, lossless=False))
+    eq = cl.check_equilibrium(cl.build_linear_model(net68, ms68, op))
     assert eq.max_residual < 1e-8
     # every family individually small, not just the max
     assert all(v < 1e-8 for v in eq.families.values())
@@ -128,7 +128,7 @@ def test_init_dynamic_states_is_equilibrium(net68, ms68):
 def test_init_dynamic_states_with_gfms():
     net, ms = build_small_system(11, n_m=6, n_gfm=2)
     sol, op = solve_and_init(net, ms)
-    eq = cl.check_equilibrium(cl.build_linear_model(net, ms, op, lossless=False))
+    eq = cl.check_equilibrium(cl.build_linear_model(net, ms, op))
     assert eq.max_residual < 1e-8
     # fleet order: the GFM half follows the SGs and holds the bus voltage
     n_sg = len(ms.sgs)

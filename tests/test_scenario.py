@@ -24,7 +24,6 @@ from coherence_lab.errors import (
     PipelineError,
     ValidationError,
 )
-from coherence_lab.linearize import build_linear_model
 from coherence_lab.scenario import (
     BatchJob,
     Replacement,
@@ -483,7 +482,7 @@ def reactive_case(net, ms, spec):
     fleet's own machine order."""
     net2, ms2, _ = apply_scenario(net, ms, spec, cl.solve_power_flow(net, ms, spec.options))
     _, op = solve_and_init(net2, ms2)
-    lap = cl.kron_reduce(cl.build_jacobians(build_linear_model(net2, ms2, op, lossless=True)))
+    lap = cl.reactive_laplacian(net2, ms2, op)
     return net2, ms2, op, lap
 
 
@@ -739,21 +738,16 @@ def test_forked_child_runs_the_pipeline(net68, ms68, monkeypatch):
 
 @pytest.mark.parametrize("broken, first", [
     (["state_matrix", "mode_shapes"], "state_matrix"),
-    (["mode_shapes", "build_linear_model"], "mode_shapes"),
-    (["build_linear_model", "kron_reduce"], "build_linear_model"),
-    (["kron_reduce", "slow_eigensolve"], "kron_reduce"),
+    (["mode_shapes", "reactive_laplacian"], "mode_shapes"),
+    (["reactive_laplacian", "slow_eigensolve"], "reactive_laplacian"),
     (["slow_eigensolve", "group_machines"], "slow_eigensolve"),
 ])
 def test_case_errors_keep_the_sequential_order(net68, ms68, monkeypatch, broken, first):
     """A failing case raises the first of its stages that fails, in the
-    order it runs them: state_matrix, eig, reactive model, kron_reduce,
+    order it runs them: state_matrix, eig, reactive_laplacian,
     slow_eigensolve, group_machines."""
     for name in broken:
-        real = getattr(scenario_mod, name)
-
-        def fail(*args, name=name, real=real, **kwargs):
-            if name == "build_linear_model" and not kwargs["lossless"]:
-                return real(*args, **kwargs)  # only the reactive model fails
+        def fail(*args, name=name):
             raise PipelineError(f"{name} failed")
 
         monkeypatch.setattr(scenario_mod, name, fail)
@@ -817,25 +811,25 @@ def test_base_failure_on_the_worker_beats_a_finished_scenario(net68, ms68, monke
     """The base case's reactive chain, on the eig worker, fails; the scenario
     case, on this thread, finishes. run_pipeline raises the base failure."""
     threads = traced_threads(monkeypatch, "group_machines")
-    real = scenario_mod.kron_reduce
+    real = scenario_mod.reactive_laplacian
 
-    def kron_reduce(blocks):
-        if blocks.machines is ms68:  # the base fleet
-            threads["base kron_reduce"] = threading.current_thread()
-            raise PipelineError("base kron_reduce failed")
-        return real(blocks)
+    def reactive_laplacian(net, machines, op):
+        if machines is ms68:  # the base fleet
+            threads["base reactive_laplacian"] = threading.current_thread()
+            raise PipelineError("base reactive_laplacian failed")
+        return real(net, machines, op)
 
-    monkeypatch.setattr(scenario_mod, "kron_reduce", kron_reduce)
-    with pytest.raises(PipelineError, match="^base kron_reduce failed$"):
+    monkeypatch.setattr(scenario_mod, "reactive_laplacian", reactive_laplacian)
+    with pytest.raises(PipelineError, match="^base reactive_laplacian failed$"):
         cl.run_pipeline(net68, ms68, s1_spec())
-    assert threads["base kron_reduce"].name.startswith("coherence-lab-eig")
+    assert threads["base reactive_laplacian"].name.startswith("coherence-lab-eig")
     assert threads["group_machines"] is threading.current_thread()  # the scenario's, the last stage
 
 
 def test_base_only_run_stays_on_the_calling_thread(net68, ms68, monkeypatch):
     """With no scenario case to overlap, a base-only run finishes its case,
     eigensolve included, on this thread."""
-    stages = ("mode_shapes", "kron_reduce", "group_machines")
+    stages = ("mode_shapes", "reactive_laplacian", "group_machines")
     threads = traced_threads(monkeypatch, *stages)
     cl.run_pipeline(net68, ms68, cl.load_scenario(DATA / "base.json"))
     assert threads == dict.fromkeys(stages, threading.current_thread())
@@ -854,8 +848,8 @@ def test_pipeline_deterministic_laplacian(net68, ms68, monkeypatch):
 
 
 def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
-    """One power flow, one dispatch and one reactive model, one equilibrium
-    gate and two Jacobian assemblies per case; one report dict, and with it
+    """One power flow, one dispatch model, one equilibrium gate and one
+    Jacobian assembly per case; one report dict, and with it
     one row-sum check, per case however many formats are emitted; no SVD
     condition number."""
     stages = {
@@ -888,9 +882,9 @@ def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
     reportio.emit(report, tmp_path, {"json", "csv", "svg", "matrices"})
     assert counts == {
         "build_admittance": 6,
-        "build_linear_model": 4,
+        "build_linear_model": 2,
         "check_equilibrium": 2,
-        "build_jacobians": 4,
+        "build_jacobians": 2,
         "case_to_dict": 2,
         "row_sum_check": 2,
         "cond": 0,
