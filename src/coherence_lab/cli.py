@@ -6,25 +6,26 @@ Exit codes: 0 success, 1 validation, 2 convergence, 3 pipeline, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .errors import (
     CoherenceLabError,
     ConvergenceError,
-    InputOutputError,
     ValidationError,
     read_json,
 )
 from .machines import load_machines
 from .network import connectivity_check, load_network
 from .powerflow import solve_power_flow
-from .reportio import band_mode_plots, emit, mode_svg
+from .reportio import _write_artifacts, band_mode_plots, emit, mode_svg
 from .scenario import ScenarioSpec, load_scenario, run_pipeline
 
 EMIT_CHOICES = ("json", "csv", "svg", "matrices")
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coherence-lab",
@@ -117,11 +118,7 @@ def cmd_modeshape(args: argparse.Namespace) -> int:
             f"report {args.report} is malformed: {type(exc).__name__}: {exc}"
         ) from None
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {out}: {exc}") from exc
+    _write_artifacts([(out, svg)])
     print(f"wrote {out}")
     return 0
 

@@ -13,6 +13,7 @@ to a fixed short format.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -330,9 +331,39 @@ def _matrix_csv(m: np.ndarray, order: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _keep_contents(path: str, flags: int) -> int:
+    """`open` with this opener leaves an existing file's bytes in place."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_artifacts(staged: list[tuple[Path, str]]) -> list[Path]:
+    """Write each (path, text) in order, making each parent directory once.
+    An existing file is rewritten in place and cut to length, because ext4
+    flushes a file to disk on close once it was opened with O_TRUNC, as by
+    `Path.write_text`, whose encoding and newlines these writes keep. An
+    OSError becomes an InputOutputError naming the file; the files written
+    before it stay."""
+    written: list[Path] = []
+    made: set[Path] = set()
+    try:
+        for path, content in staged:
+            if path.parent not in made:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made.add(path.parent)
+            with open(path, "w", opener=_keep_contents) as f:
+                f.write(content)
+                f.truncate()
+            written.append(path)
+    except OSError as exc:
+        raise InputOutputError(f"cannot write {path}: {exc}") from exc
+    return written
+
+
 def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list[Path]:
-    """Write the requested artifacts; content is fully built before any
-    file is opened so a failure cannot leave a partial set behind."""
+    """Write the requested artifacts. Every file's content is built before
+    any file is opened, so a formatting failure writes nothing, and neither
+    does a failure to make `out_dir`. A failure after that leaves the files
+    written before it."""
     out = Path(out_dir)
     doc = report_to_dict(report)
     name = doc["name"]
@@ -364,13 +395,4 @@ def emit(report: ScenarioReport, out_dir: str | Path, formats: set[str]) -> list
             )
             if case is report.scenario:  # the base reference, in slot order
                 staged.append((sub / "l0_bar.csv", _matrix_csv(report.base.lap.l_bar, order)))
-
-    written: list[Path] = []
-    try:
-        for path, content in staged:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content)
-            written.append(path)
-    except OSError as exc:
-        raise InputOutputError(f"cannot write {path}: {exc}") from exc
-    return written
+    return _write_artifacts(staged)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coherence_lab
-from coherence_lab.cli import main
+from coherence_lab.cli import _build_parser, main
 from coherence_lab.errors import (
     CoherenceLabError,
     ConvergenceError,
@@ -88,6 +88,31 @@ def test_run_without_scenario_checks_areas_r(tmp_path, capsys):
     ])
     assert rc == 1
     assert "areas_r must be at least 1" in capsys.readouterr().err
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    """main builds its parser once per process, and each call parses afresh:
+    no option, default or subcommand of one call leaks into the next."""
+    base_run = ["run", "--network", DATA / "network.json",
+                "--machines", DATA / "machines.json", "--emit", "json"]
+    validate = ["validate", "--network", DATA / "network.json",
+                "--machines", DATA / "machines.json"]
+
+    def areas_r(out):
+        return json.loads((out / "base.report.json").read_text())["areas_r"]
+
+    assert run_cli(base_run + ["--out", tmp_path / "a", "--areas-r", "3"]) == 0
+    assert areas_r(tmp_path / "a") == 3
+    assert run_cli(base_run + ["--out", tmp_path / "b"]) == 0
+    assert areas_r(tmp_path / "b") == 2
+    assert run_cli(validate) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(base_run)  # no --out
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert run_cli(base_run + ["--out", tmp_path / "c"]) == 0
+    assert areas_r(tmp_path / "c") == 2
+    assert _build_parser() is _build_parser()
 
 
 def test_validate_ok(capsys):

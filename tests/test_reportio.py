@@ -1,8 +1,9 @@
-"""Artifact emission: file set, determinism, CSV/JSON agreement, SVG
-plotting, and failure atomicity."""
+"""Artifact emission: file set, determinism, rewrites of a used tree,
+CSV/JSON agreement, SVG plotting, and failure atomicity."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,34 @@ def test_emit_failure_leaves_no_partial_set(report_base, tmp_path):
     with pytest.raises(InputOutputError):
         emit(report_base, blocker / "sub", {"json"})
     assert blocker.read_text().startswith("a file")
+
+
+def test_emit_rewrites_a_used_tree_byte_for_byte(report_s1, tmp_path):
+    """Files rewritten in place, whether the old one was longer, shorter or
+    the same, end up exactly as a fresh emit writes them."""
+    formats = {"json", "csv", "svg", "matrices"}
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    written = emit(report_s1, used, formats)
+    for i, path in enumerate(written):
+        if i % 3 == 0:
+            path.write_bytes(path.read_bytes() * 2 + b"junk\n")
+        elif i % 3 == 1:
+            path.write_bytes(path.read_bytes()[:1])
+    emit(report_s1, used, formats)
+    emit(report_s1, fresh, formats)
+    tu, tf = read_tree(used), read_tree(fresh)
+    assert tu.keys() == tf.keys()
+    for name in tf:
+        assert tu[name] == tf[name], f"{name} differs from a fresh emit"
+
+
+def test_emit_names_the_file_it_cannot_write(report_base, tmp_path):
+    # a directory, not chmod, blocks the file: chmod does not bind root
+    target = tmp_path / "base.modes.csv"
+    target.mkdir()
+    with pytest.raises(InputOutputError, match=re.escape(f"cannot write {target}:")):
+        emit(report_base, tmp_path, {"json", "csv"})
+    assert (tmp_path / "base.report.json").is_file()  # written before the failure
 
 
 def test_report_dict_shape(report_s1):

@@ -7,8 +7,10 @@ Runs scenario1, base and scenario2, in that order and in one process,
 through `coherence-lab run --emit json,csv,svg,matrices` into OUT, with
 the package imported from this checkout's src/. It prints the BLAS thread
 count, then one `sha256  path` line per file, paths relative to OUT in
-sorted order. OUT must be empty or absent. Two checkouts emit the same
-artifacts when `diff` finds no difference in their output.
+sorted order. OUT must be empty or absent, so the digest covers files
+written fresh only; rewriting files that exist is checked by the CI step
+"Re-emitting into a used tree gives the same bytes". Two checkouts emit
+the same artifacts when `diff` finds no difference in their output.
 
 The order covers each path through run_pipeline. scenario1 comes first,
 with no base case kept, so its base case finishes on the eig worker beside
