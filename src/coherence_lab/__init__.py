@@ -23,9 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .linearize import (
-    JacobianBlocks,
     LaplacianPair,
-    build_jacobians,
     build_linear_model,
     check_equilibrium,
     reactive_laplacian,

@@ -4,11 +4,14 @@ Two models, machine rows ordered SGs first, then GFMs:
 
   * the dispatch model: loads become constant admittances (P - jQ)/|V0|^2
     at the solved voltages and the model is evaluated exactly at the
-    dispatch point, where every residual is zero. Its voltage unknowns are
-    rectangular, stacked [Re(V); Im(V)], so algebraic blocks are 2N wide,
-    and GFM buses swap their power-balance rows for the two components of
-    the voltage-source constraint V = E exp(j delta). Used for the full
-    state matrix and mode shapes.
+    dispatch point, where every residual is zero. Its residuals, which the
+    equilibrium gate reads, take rectangular bus voltages, and GFM buses
+    swap their power-balance rows for the voltage-source constraint
+    V = E exp(j delta). The state matrix is built in closed form: the
+    network, loads included, is Kron-reduced onto the machine sources by
+    one complex elimination, and each block is a derivative of the power
+    S = W conj(Y_red W) that the sources W = E exp(j delta) deliver. Used
+    for mode shapes.
   * the reactive Laplacian, in closed form: every conductance is dropped
     (branch r, shunt_g, the real part of converted loads), the purely
     susceptive network is Kron-reduced onto the machine sources by one
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .machines import MachineSet
-from .network import Network, _pattern, build_admittance
+from .network import Network, build_admittance
 from .powerflow import OperatingPoint
 
 EQUILIBRIUM_TOL = 1e-6
@@ -176,148 +179,6 @@ def check_equilibrium(model: LinearModel) -> EquilibriumReport:
     return eq
 
 
-# ---------------------------------------------------------------------------
-# analytic Jacobian blocks
-
-@dataclass(frozen=True)
-class JacobianBlocks:
-    """Stacked small-signal blocks of one model; machine rows and columns
-    run SG i -> i, GFM j -> n_sg + j.
-
-      a1  (n_r x n_r)    frequency rows by machine angle
-      a2  (n_r x 2N)     frequency rows by bus voltage
-      a3  (2N x n_r)     algebraic rows by machine angle
-      a33 (2N x 2N)      algebraic rows by bus voltage
-      a34 (2N x n_gfm)   algebraic rows by GFM magnitude
-
-    GFM frequency rows see neither machine angles nor magnitudes, so a1 is
-    nonzero only on its SG diagonal and no frequency-row magnitude block
-    exists. q_rows and vm_rows (n_gfm x 2N) are dQ/dV and d|V|/dV at the
-    GFM buses, the parts of the network Jacobian that the GFM voltage loop
-    of the state matrix reads. a3 and a34 are the leading columns of
-    rhs = [a3 | a34 | probes], the right-hand side of the one solve
-    against a33 (see state_matrix), built once.
-
-    The blocks keep the model's fleet and nominal frequency, not the model
-    itself, so its dense admittance matrix is freed with it.
-    """
-
-    machines: MachineSet
-    omega0: float
-    a1: np.ndarray
-    a2: np.ndarray
-    a33: np.ndarray
-    rhs: np.ndarray
-    q_rows: np.ndarray
-    vm_rows: np.ndarray
-    m_e: np.ndarray  # diagonal entries
-
-    @property
-    def a3(self) -> np.ndarray:
-        return self.rhs[:, : self.a1.shape[0]]
-
-    @property
-    def a34(self) -> np.ndarray:
-        return self.rhs[:, self.a1.shape[0] : self.a1.shape[0] + self.q_rows.shape[0]]
-
-
-def _network_power_jacobian(model: LinearModel):
-    """d(P,Q)/d(Re V, Im V) of the quadratic network injections, the 2N x 2N
-    [[dP/dRe, dP/dIm], [dQ/dRe, dQ/dIm]] evaluated only on the pattern of the
-    model admittance: (rows, cols, values); every other entry is zero."""
-    rows, cols = _pattern(model.y_model)
-    y = model.y_model[rows, cols]
-    g, b = y.real, y.imag
-    v = model.v_point
-    p, q = v.real[rows], v.imag[rows]
-    i0 = model.y_model @ v
-    diag = rows == cols  # one entry per row, rows ascending
-    ar, bi = np.zeros(rows.size), np.zeros(rows.size)
-    ar[diag] = i0.real
-    bi[diag] = i0.imag
-    n = model.n_bus
-    return (
-        np.concatenate([rows, rows, n + rows, n + rows]),
-        np.concatenate([cols, n + cols, cols, n + cols]),
-        np.concatenate([p * g + q * b + ar, -p * b + q * g + bi,
-                        q * g - p * b - bi, -q * b - p * g + ar]),
-    )
-
-
-def build_jacobians(model: LinearModel) -> JacobianBlocks:
-    """All small-signal blocks of one model at its evaluation point; only
-    assembly, check_equilibrium on the dispatch model is the gate."""
-    machines, op = model.machines, model.op
-    n = model.n_bus
-    n_sg, n_gfm = model.n_sg, model.n_gfm
-    n_r = n_sg + n_gfm
-
-    rows, cols, d_pq = _network_power_jacobian(model)
-    # residual rows are injections minus network flows
-    a33 = np.zeros((2 * n, 2 * n))
-    a33[rows, cols] = -d_pq
-
-    a1 = np.zeros((n_r, n_r))
-    a2 = np.zeros((n_r, 2 * n))
-    rhs = np.zeros((2 * n, n_r + n_gfm + COND_PROBES))
-    a3, a34 = rhs[:, :n_r], rhs[:, n_r : n_r + n_gfm]
-    rhs[:, n_r + n_gfm :] = np.random.default_rng(0).standard_normal((2 * n, COND_PROBES))
-    sg, i_sg = model.sg_idx, np.arange(n_sg)
-    gp, e = model.sg_gp, op.e[:n_sg]
-    sd, cd = np.sin(op.delta[:n_sg]), np.cos(op.delta[:n_sg])
-    p, q = model.v_point.real[sg], model.v_point.imag[sg]
-    # air-gap power P = gp*e*(p sin - q cos) drives the SG frequency row
-    dpg_dd = gp * e * (p * cd + q * sd)
-    a1[i_sg, i_sg] = -dpg_dd
-    a2[i_sg, sg] = -gp * e * sd
-    a2[i_sg, n + sg] = gp * e * cd
-    # bus-side machine injection enters the balance rows at its bus
-    a33[sg, sg] += gp * e * sd
-    a33[sg, n + sg] += -gp * e * cd
-    a33[n + sg, sg] += gp * e * cd - 2.0 * gp * p
-    a33[n + sg, n + sg] += gp * e * sd - 2.0 * gp * q
-    a3[sg, i_sg] = dpg_dd
-    a3[n + sg, i_sg] = gp * e * (q * cd - p * sd)
-
-    gfm, j_gfm = model.gfm_idx, np.arange(n_gfm)
-    e = op.e[n_sg:]
-    sd, cd = np.sin(op.delta[n_sg:]), np.cos(op.delta[n_sg:])
-    # the network rows of each GFM bus: P feeds its frequency row, Q its
-    # voltage loop; j_of maps a P or Q row to its GFM, -1 off GFM buses
-    j_of = np.full(2 * n, -1)
-    j_of[gfm], j_of[n + gfm] = j_gfm, j_gfm
-    j_row = j_of[rows]
-    p_on, q_on = (j_row >= 0) & (rows < n), (j_row >= 0) & (rows >= n)
-    a2[n_sg + j_row[p_on], cols[p_on]] = -d_pq[p_on]
-    q_rows = np.zeros((n_gfm, 2 * n))
-    q_rows[j_row[q_on], cols[q_on]] = d_pq[q_on]
-    v = model.v_point[gfm]
-    vm = np.abs(v)
-    vm_rows = np.zeros((n_gfm, 2 * n))
-    vm_rows[j_gfm, gfm] = v.real / vm
-    vm_rows[j_gfm, n + gfm] = v.imag / vm
-    # constraint rows V - E exp(j delta) replace the bus balance
-    a33[gfm, :] = a33[n + gfm, :] = 0.0
-    a33[gfm, gfm] = a33[n + gfm, n + gfm] = 1.0
-    a3[gfm, n_sg + j_gfm] = e * sd
-    a3[n + gfm, n_sg + j_gfm] = -e * cd
-    a34[gfm, j_gfm] = -cd
-    a34[n + gfm, j_gfm] = -sd
-
-    omega0 = model.net.omega0
-    return JacobianBlocks(
-        machines=machines,
-        omega0=omega0,
-        a1=a1,
-        a2=a2,
-        a33=a33,
-        rhs=rhs,
-        q_rows=q_rows,
-        vm_rows=vm_rows,
-        m_e=_equivalent_masses(machines, omega0),
-    )
-
-
 def _equivalent_masses(machines: MachineSet, omega0: float) -> np.ndarray:
     """Each machine's swing mass in fleet order: an SG's m, a GFM's droop-loop equivalent."""
     return np.array([m.m for m in machines.sgs] + [g.m_equivalent(omega0) for g in machines.gfms])
@@ -365,6 +226,33 @@ def _solve_probed(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[:, :n_rhs]  # the probe columns dropped
 
 
+def _reduce_onto_sources(
+    y: np.ndarray, sg_bus: np.ndarray, gfm_bus: np.ndarray, y_sg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One probed solve that eliminates every bus without a GFM from the
+    network y (real or complex, left unchanged) with the machine sources
+    attached: each SG's internal node tied to its bus by the branch
+    admittance y_sg, and the GFM buses.
+
+    Returns (k_sg, Y_ks, X = Y_kk^{-1} Y_ks): Y_kk is y over the
+    eliminated buses, gathered without copying y, with y_sg added on each
+    SG bus's diagonal; the columns of Y_ks tie those buses to each source,
+    SGs then GFMs; k_sg is the row of each SG's bus among them. The
+    reduced network over the sources is Y_ss - Y_ks^T X, y being symmetric.
+    """
+    kept = np.setdiff1d(np.arange(y.shape[0]), gfm_bus)  # every bus without a GFM
+    k_sg, n_sg = np.searchsorted(kept, sg_bus), sg_bus.size
+    n_r = n_sg + gfm_bus.size
+    # an SG's internal node reaches only its bus, a GFM bus the network
+    rhs = np.zeros((kept.size, n_r + COND_PROBES), dtype=y.dtype)
+    rhs[k_sg, np.arange(n_sg)] = -y_sg
+    rhs[:, n_sg:n_r] = y[np.ix_(kept, gfm_bus)]
+    rhs[:, n_r:] = np.random.default_rng(0).standard_normal((kept.size, COND_PROBES))
+    block = y[np.ix_(kept, kept)]
+    block[k_sg, k_sg] += y_sg
+    return k_sg, rhs[:, :n_r], _solve_probed(block, rhs)
+
+
 def reactive_laplacian(net: Network, machines: MachineSet, op: OperatingPoint) -> LaplacianPair:
     """The slow-coherency Laplacian in closed form, rows in fleet order.
 
@@ -393,18 +281,10 @@ def _reactive_laplacian(net: Network, machines: MachineSet, op: OperatingPoint) 
     gp = 1.0 / np.array([m.xd_prime for m in machines.sgs])
     b = build_admittance(net, lossless=True).imag
     b[np.diag_indices_from(b)] -= np.array([bus.load_q for bus in net.buses]) / np.abs(op.v) ** 2
-    b[sg_bus, sg_bus] -= gp
-    kept = np.setdiff1d(np.arange(net.n_bus), gfm_bus)  # every bus without a GFM
-    # the columns that tie the eliminated buses to each source: an SG's
-    # internal node reaches only its bus, a GFM bus the network
-    rhs = np.zeros((kept.size, n_r + COND_PROBES))
-    rhs[np.searchsorted(kept, sg_bus), np.arange(n_sg)] = gp
-    rhs[:, n_sg:n_r] = b[np.ix_(kept, gfm_bus)]
-    rhs[:, n_r:] = np.random.default_rng(0).standard_normal((kept.size, COND_PROBES))
-    x = _solve_probed(b[np.ix_(kept, kept)], rhs)
+    _, coupling, x = _reduce_onto_sources(b, sg_bus, gfm_bus, -gp)
     # the reduced susceptances off the diagonal; sources meet directly only
     # where two GFM buses share a branch
-    b_red = -(rhs[:, :n_r].T @ x)
+    b_red = -(coupling.T @ x)
     b_red[n_sg:, n_sg:] += b[np.ix_(gfm_bus, gfm_bus)]
     np.fill_diagonal(b_red, 0.0)
 
@@ -448,50 +328,68 @@ def symmetry_gap(l: np.ndarray) -> float:
     return float(np.max(np.abs(l - l.T)) / denom)
 
 
+
+
 # ---------------------------------------------------------------------------
 # full state matrix (dispatch variant)
 
-def state_matrix(blocks: JacobianBlocks) -> np.ndarray:
-    """Assemble the state matrix of d/dt [delta, omega, ve, e_f] from the
-    dispatch-model blocks: n_r angle rows, then n_r frequency rows, in the
-    model's machine order (SGs, then GFMs), then n_gfm ve and n_gfm e_f rows.
+def state_matrix(model: LinearModel) -> np.ndarray:
+    """The state matrix of d/dt [delta, omega, ve, e_f] of the dispatch
+    model: n_r angle rows, then n_r frequency rows, in the model's machine
+    order (SGs, then GFMs), then n_gfm ve and n_gfm e_f rows.
 
-    The algebraic voltages are eliminated through the same solve that
-    produces the Laplacian, so the angle block of this matrix is
-    M_e^{-1} L with the dispatch-variant L.
+    The model network, loads included, is Kron-reduced onto the machine
+    sources by one complex solve, as reactive_laplacian reduces the
+    lossless one. Over the reduced admittance Y each source with voltage
+    W = E exp(j delta) delivers S = W conj(Y W), an SG its air-gap power
+    and a GFM its terminal power, and with T_ik = W_i conj(Y_ik W_k)
+    dS_i/d(delta_k) = j (S_i [i = k] - T_ik) and
+    dS_i/dE_k = (S_i [i = k] + T_ik) / E_k. The dispatch Laplacian is
+    L = -Re dS/d(delta), so the angle block is M_e^{-1} L; the
+    E-feedthrough is -Re dS/dE; the ve rows read Q = Im S and the GFM bus
+    magnitude |V| = E. At an equilibrium every eliminated bus's current
+    balance holds, so these are the derivatives with the algebraic
+    voltages eliminated.
     """
-    machines = blocks.machines
-    n_r, n_gfm = blocks.a1.shape[0], blocks.q_rows.shape[0]
+    machines, op, y = model.machines, model.op, model.y_model
+    n_sg, n_gfm, gfm = model.n_sg, model.n_gfm, model.gfm_idx
+    n_r = n_sg + n_gfm
     nx = 2 * n_r + 2 * n_gfm
     # allocated before the reduction, so that the state matrix, which an
     # eigensolve may hold for a while, does not sit above its temporaries
     a = np.zeros((nx, nx))
-    x = _solve_probed(blocks.a33, blocks.rhs)
-    x3, x4 = x[:, :n_r], x[:, n_r:]
-    l = blocks.a1 - blocks.a2 @ x3
-    # subtracted from zeros, not negated, so an exact zero stays +0
-    feed = np.zeros((n_r, n_gfm)) - blocks.a2 @ x4
+    y_sg = -1j * model.sg_gp  # 1/(j xd')
+    k_sg, coupling, x = _reduce_onto_sources(y, model.sg_idx, gfm, y_sg)
+    # an SG's row of -Y_ks^T X is its bus's row of X times y_sg
+    y_red = np.empty((n_r, n_r), dtype=complex)
+    y_red[:n_sg] = y_sg[:, None] * x[k_sg]
+    y_red[np.arange(n_sg), np.arange(n_sg)] += y_sg
+    y_red[n_sg:] = -(coupling[:, n_sg:].T @ x)
+    y_red[n_sg:, n_sg:] += y[np.ix_(gfm, gfm)]
+
+    e, w = op.e, op.e * np.exp(1j * op.delta)
+    s = w * np.conj(y_red @ w)
+    t = w[:, None] * np.conj(y_red * w)
+    u = np.diag(s) - t  # dS/d(delta) = j u
+    j = np.arange(n_gfm)
+    ds_de = t[:, n_sg:] / e[n_sg:]
+    ds_de[n_sg + j, j] += s[n_sg:] / e[n_sg:]
 
     sl_d = slice(0, n_r)
     sl_w = slice(n_r, 2 * n_r)
     sl_e = slice(2 * n_r + n_gfm, nx)
 
+    m_e = _equivalent_masses(machines, model.net.omega0)
     a[sl_d, sl_w] = np.eye(n_r)
-    a[sl_w, sl_d] = l / blocks.m_e[:, None]
-    a[sl_w, sl_e] = feed / blocks.m_e[:, None]
+    a[sl_w, sl_d] = u.imag / m_e[:, None]
+    a[sl_w, sl_e] = -ds_de.real / m_e[:, None]
     tau, lam_q, kpv, kiv = machines.gfm_arrays("tau", "lambda_q", "kpv", "kiv")
     a[sl_w, sl_w] = np.diag(
-        [-m.d_internal(blocks.omega0) / m.m for m in machines.sgs] + [-1.0 / t for t in tau])
+        [-m.d_internal(model.net.omega0) / m.m for m in machines.sgs] + list(-1.0 / tau))
 
-    # d(ve)/dt falls with |V| and Q, and dV/d(delta, E) = -X: the two
-    # signs cancel
-    rows_v = (blocks.vm_rows + lam_q[:, None] * blocks.q_rows) / tau[:, None]
-    # one vector-matrix product per row: a stacked rows_v @ x3 sums in
-    # another order and moves the last bits of the state matrix
-    ve_d, ve_e = np.zeros((n_gfm, n_r)), np.zeros((n_gfm, n_gfm))
-    for i, row in enumerate(rows_v):
-        ve_d[i], ve_e[i] = row @ x3, row @ x4
-    j = np.arange(n_gfm)
+    # d(ve)/dt falls with |V| = E and with Q
+    ve_d = -(lam_q / tau)[:, None] * u[n_sg:].real
+    ve_e = -(np.eye(n_gfm) + lam_q[:, None] * ds_de[n_sg:].imag) / tau[:, None]
     r_v, r_e = 2 * n_r + j, 2 * n_r + n_gfm + j
     a[r_v, sl_d] = ve_d
     a[r_v, sl_e] += ve_e

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .linearize import (
     LaplacianPair,
-    build_jacobians,
     build_linear_model,
     check_equilibrium,
     reactive_laplacian,
@@ -266,12 +265,12 @@ def _analyze_case(
     slot_buses: list[int],
 ) -> tuple[PowerFlowSolution, Callable[[], CaseResult]]:
     """Power flow through modal analysis for one machine fleet. This thread
-    runs the power flow, the equilibrium gate and the dispatch Jacobian
-    blocks; it returns the solved power flow and finish(), which runs the
-    rest in order on whichever thread calls it and returns the CaseResult:
-    state_matrix, which drops the blocks, mode_shapes, reactive_laplacian,
-    slow_eigensolve, group_machines. The dispatch model and the reactive
-    reduction are never alive together.
+    runs the power flow, the dispatch model and its equilibrium gate; it
+    returns the solved power flow and finish(), which runs the rest in
+    order on whichever thread calls it and returns the CaseResult:
+    state_matrix, which drops the dispatch model, mode_shapes,
+    reactive_laplacian, slow_eigensolve, group_machines. The dispatch model
+    and the reactive reduction are never alive together.
 
     The linearization orders machines SGs first, then GFMs; this is the
     one place that maps that order onto slot_buses, by exact indexing, so
@@ -280,11 +279,10 @@ def _analyze_case(
     op = init_dynamic_states(net, machines, sol)
     dispatch = build_linear_model(net, machines, op)
     eq = check_equilibrium(dispatch)
-    blocks = [build_jacobians(dispatch)]  # finish pops them: freed once the state matrix is built
-    del dispatch  # and its dense admittance matrix, before any solve
+    models = [dispatch]  # finish pops it: freed once the state matrix is built
 
     def finish() -> CaseResult:
-        modes = mode_shapes(state_matrix(blocks.pop()), len(slot_buses))
+        modes = mode_shapes(state_matrix(models.pop()), len(slot_buses))
         row_of = {b: i for i, b in enumerate(machines.machine_buses)}
         perm = np.array([row_of[b] for b in slot_buses], dtype=int)
         native = reactive_laplacian(net, machines, op)
@@ -384,7 +382,7 @@ def run_pipeline(net: Network, machines: MachineSet, spec: ScenarioSpec) -> Scen
     machines, options, areas_r and band_hz equal its own bit for bit reruns
     no base stage: it gets a copy of that case and runs only the scenario
     case, on this thread. Otherwise this thread solves the base case up to
-    its Jacobian blocks. With replacements, the eig worker finishes the base
+    its equilibrium gate. With replacements, the eig worker finishes the base
     case while this thread runs the scenario case, so the two cases'
     eigensolves overlap; a base-only run finishes on this thread. Errors are
     those of the sequential chain: a placement fault first, then the base

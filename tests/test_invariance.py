@@ -109,6 +109,27 @@ def test_bus_and_branch_order_does_not_matter(bundled, seed):
     assert_same_report(want, got)
 
 
+@pytest.fixture(scope="module")
+def scenario2():
+    """scenario2, the bundled scenario with more than one replacement."""
+    net, machines, scenario = inputs("scenario2")
+    return net, machines, scenario, run(net, machines, scenario)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 0), (2, 1, 0)])
+def test_replacement_order_does_not_matter(scenario2, order):
+    """The replacements listed in another order: each GFM still takes the
+    slot of the SG it retires, so the areas, L and the modes agree slot
+    for slot, though the scenario fleet lists its GFMs in the new order."""
+    net, machines, scenario, want = scenario2
+    reps = scenario["replacements"]
+    scenario = {**scenario, "replacements": [reps[i] for i in order]}
+    got = run(net, machines, scenario)
+    assert ([g.bus for g in got.scenario.machines.gfms]
+            == [reps[i]["gfm_bus"] for i in order])
+    assert_same_report(want, got)
+
+
 def test_bus_ids_do_not_matter(bundled):
     """Every bus b renamed 1000 - b in all three files: the same answers under
     the new names, with the subspace angles to the bit, as the matrices keep

@@ -848,15 +848,14 @@ def test_pipeline_deterministic_laplacian(net68, ms68, monkeypatch):
 
 
 def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
-    """One power flow, one dispatch model, one equilibrium gate and one
-    Jacobian assembly per case; one report dict, and with it
+    """One power flow, one dispatch model and one equilibrium gate per
+    case; one report dict, and with it
     one row-sum check, per case however many formats are emitted; no SVD
     condition number."""
     stages = {
         "build_admittance": cl.network.build_admittance,
         "build_linear_model": cl.linearize.build_linear_model,
         "check_equilibrium": cl.linearize.check_equilibrium,
-        "build_jacobians": cl.linearize.build_jacobians,
         "case_to_dict": reportio.case_to_dict,
         "row_sum_check": cl.linearize.row_sum_check,
     }
@@ -884,11 +883,35 @@ def test_pipeline_linearizes_each_case_once(net68, ms68, tmp_path, monkeypatch):
         "build_admittance": 6,
         "build_linear_model": 2,
         "check_equilibrium": 2,
-        "build_jacobians": 2,
         "case_to_dict": 2,
         "row_sum_check": 2,
         "cond": 0,
     }
+
+
+@pytest.mark.parametrize("which", ["base", "scenario"])
+def test_public_recipe_gives_the_pipelines_bits(report_s1, which):
+    """README's chain, state_matrix then mode_shapes then
+    reactive_laplacian, run by hand on one case of scenario1 gives that
+    case's modes and L bit for bit, once its fleet-order rows are mapped
+    to the case's slots."""
+    case = getattr(report_s1, which)
+    net, ms = case.net, case.machines
+    op = cl.init_dynamic_states(net, ms, cl.solve_power_flow(net, ms, report_s1.spec.options))
+    dispatch = cl.build_linear_model(net, ms, op)
+    cl.check_equilibrium(dispatch)
+    modes = cl.mode_shapes(cl.state_matrix(dispatch), len(ms.machine_buses))
+    lap = cl.reactive_laplacian(net, ms, op)
+
+    row_of = {b: i for i, b in enumerate(ms.machine_buses)}
+    perm = np.array([row_of[b] for b in case.slot_buses])
+    assert [(m.freq_hz, m.damping_ratio) for m in modes] == [
+        (m.freq_hz, m.damping_ratio) for m in case.modes_all]
+    for got, want in zip(modes, case.modes_all):
+        assert got.components[perm].tobytes() == want.components.tobytes()
+    assert lap.l[np.ix_(perm, perm)].tobytes() == case.lap.l.tobytes()
+    assert lap.feedthrough_e[perm].tobytes() == case.lap.feedthrough_e.tobytes()
+    assert lap.m_e[perm].tobytes() == case.lap.m_e.tobytes()
 
 
 # ---------------------------------------------------------------------------
